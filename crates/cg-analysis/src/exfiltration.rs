@@ -13,7 +13,7 @@
 
 use crate::dataset::{Dataset, PairKey};
 use cg_entity::EntityMap;
-use cg_hash::EncodedForms;
+use cg_hash::{EncodedForms, ExfilMatcher};
 use cg_instrument::CookieApi;
 use cg_script::value::split_segments;
 use serde::{Deserialize, Serialize};
@@ -71,22 +71,31 @@ pub struct ExfilAnalysis {
 }
 
 /// Runs the detection pipeline over a dataset.
+///
+/// Events come out in a fixed order — sites in dataset order, then
+/// requests in log order, then pairs in sorted [`PairKey`] order — so
+/// two runs over the same dataset serialize identically.
 pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis {
     let mut out = ExfilAnalysis::default();
+    let mut hits = Vec::new();
 
     for (log, site) in ds.logs.iter().zip(&ds.sites) {
+        let mut pairs: Vec<(&PairKey, CookieApi, &Vec<String>)> = site
+            .pairs
+            .iter()
+            .filter_map(|(key, hist)| Some((key, hist.api?, &hist.values)))
+            .collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         // Candidate forms for this site's pairs.
-        let mut forms: Vec<(&PairKey, CookieApi, EncodedForms)> = Vec::new();
-        for (key, hist) in &site.pairs {
-            let api = match hist.api {
-                Some(a) => a,
-                None => continue,
-            };
+        let mut owners: Vec<(&PairKey, CookieApi)> = Vec::new();
+        let mut forms: Vec<EncodedForms> = Vec::new();
+        for (key, api, values) in pairs {
             let mut seen: HashSet<&str> = HashSet::new();
-            for value in &hist.values {
+            for value in values {
                 for seg in split_segments(value) {
                     if seen.insert(seg) {
-                        forms.push((key, api, EncodedForms::of(seg)));
+                        owners.push((key, api));
+                        forms.push(EncodedForms::of(seg));
                     }
                 }
             }
@@ -94,6 +103,7 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
         if forms.is_empty() {
             continue;
         }
+        let matcher = ExfilMatcher::compile(&forms);
 
         for req in &log.requests {
             // Only third-party destinations can receive an exfiltration.
@@ -107,14 +117,13 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
             let Some(initiator) = &req.initiator else {
                 continue;
             };
-            for (key, api, form) in &forms {
-                if !form.appears_in(&req.url) {
-                    continue;
-                }
+            matcher.find_into(&req.url, &mut hits);
+            for &i in &hits {
+                let (key, api) = owners[i];
                 let cross = !initiator.eq_ignore_ascii_case(&key.owner);
                 out.events.push(ExfilEvent {
                     site: log.site_domain.clone(),
-                    pair: (*key).clone(),
+                    pair: key.clone(),
                     exfiltrator: initiator.clone(),
                     destination: dest.clone(),
                     cross_domain: cross,
@@ -124,15 +133,15 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
                         CookieApi::CookieStore => {
                             out.sites_with_cross_exfil_store
                                 .insert(log.site_domain.clone());
-                            out.cross_exfiltrated_pairs_store.insert((*key).clone());
+                            out.cross_exfiltrated_pairs_store.insert(key.clone());
                         }
                         _ => {
                             out.sites_with_cross_exfil_doc
                                 .insert(log.site_domain.clone());
-                            out.cross_exfiltrated_pairs_doc.insert((*key).clone());
+                            out.cross_exfiltrated_pairs_doc.insert(key.clone());
                         }
                     }
-                    let agg = out.per_pair.entry((*key).clone()).or_default();
+                    let agg = out.per_pair.entry(key.clone()).or_default();
                     let ex_entity = entities.entity_of(initiator);
                     let dest_entity = entities.entity_of(dest);
                     // The paper excludes the owner's own entity from the
@@ -147,7 +156,7 @@ pub fn detect_exfiltration(ds: &Dataset, entities: &EntityMap) -> ExfilAnalysis 
                     out.per_exfiltrator_domain
                         .entry(initiator.clone())
                         .or_default()
-                        .insert((*key).clone());
+                        .insert(key.clone());
                 }
             }
         }
@@ -440,5 +449,49 @@ mod tests {
         let ds = Dataset::from_logs(vec![r.finish()]);
         let analysis = detect_exfiltration(&ds, &cg_entity::builtin_entity_map());
         assert!(analysis.events.is_empty());
+    }
+
+    #[test]
+    fn events_serialize_identically_across_runs() {
+        // Sixteen pairs shipped by one request: in hash-map order the
+        // events of two separately built datasets would almost surely
+        // differ in order.
+        let log = || {
+            let mut r = Recorder::new("site.com", 1);
+            for i in 0..16 {
+                r.record_set(
+                    &format!("c{i:02}"),
+                    &format!("uid{i:02}x4443323"),
+                    Some(if i % 2 == 0 { "gtm.com" } else { "t.com" }),
+                    None,
+                    CookieApi::DocumentCookie,
+                    WriteKind::Create,
+                    None,
+                    false,
+                    i,
+                );
+            }
+            let ids: Vec<String> = (0..16).map(|i| format!("uid{i:02}x4443323")).collect();
+            let script = cg_url::Url::parse("https://sneaky.io/t.js").unwrap();
+            r.record_request(
+                &format!("https://sink.sneaky.io/c?ids={}", ids.join(",")),
+                cg_http::RequestKind::Xhr,
+                Some(&script),
+                "site.com",
+                None,
+                20,
+            );
+            r.finish()
+        };
+        let entities = cg_entity::builtin_entity_map();
+        let run = || {
+            let analysis = detect_exfiltration(&Dataset::from_logs(vec![log()]), &entities);
+            serde_json::to_string(&analysis.events).unwrap()
+        };
+        let first = run();
+        assert_eq!(first, run());
+        let events: Vec<ExfilEvent> = serde_json::from_str(&first).unwrap();
+        assert_eq!(events.len(), 16);
+        assert!(events.windows(2).all(|w| w[0].pair < w[1].pair));
     }
 }

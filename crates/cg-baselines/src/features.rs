@@ -10,7 +10,7 @@
 
 use cg_analysis::dataset::reconstruct;
 use cg_analysis::PairKey;
-use cg_hash::EncodedForms;
+use cg_hash::{EncodedForms, ExfilMatcher};
 use cg_instrument::VisitLog;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -96,8 +96,34 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
         .map(|r| (r.url.as_str(), r.dest_domain.as_deref().unwrap_or("")))
         .collect();
 
-    let mut samples = Vec::with_capacity(recon.pairs.len());
-    for (key, hist) in &recon.pairs {
+    // Value flows into third-party requests (raw or encoded): one
+    // matcher over every pair's (value, segment) occurrences, so each
+    // occurrence counts once per URL it appears in.
+    let pairs: Vec<_> = recon.pairs.iter().collect();
+    let mut form_pair = Vec::new();
+    let mut forms = Vec::new();
+    for (p, (_, hist)) in pairs.iter().enumerate() {
+        for value in &hist.values {
+            for seg in id_segments(value) {
+                form_pair.push(p);
+                forms.push(EncodedForms::of(seg));
+            }
+        }
+    }
+    let matcher = ExfilMatcher::compile(&forms);
+    let mut flow_requests = vec![0usize; pairs.len()];
+    let mut flow_dests: Vec<HashSet<&str>> = vec![HashSet::new(); pairs.len()];
+    let mut hits = Vec::new();
+    for (url, dest) in &foreign_queries {
+        matcher.find_into(url, &mut hits);
+        for &i in &hits {
+            flow_requests[form_pair[i]] += 1;
+            flow_dests[form_pair[i]].insert(dest);
+        }
+    }
+
+    let mut samples = Vec::with_capacity(pairs.len());
+    for (p, (key, hist)) in pairs.into_iter().enumerate() {
         let mut f = [0.0f64; FEATURE_COUNT];
         f[0] = key.name.len() as f64;
         f[1] = f64::from(key.name.starts_with('_'));
@@ -122,22 +148,8 @@ pub fn extract_samples(log: &VisitLog) -> Vec<PairSample> {
             .collect();
         f[7] = readers.len() as f64;
 
-        // Value flows into third-party requests (raw or encoded).
-        let mut flow_requests = 0usize;
-        let mut dests: HashSet<&str> = HashSet::new();
-        for value in &hist.values {
-            for seg in id_segments(value) {
-                let forms = EncodedForms::of(seg);
-                for (url, dest) in &foreign_queries {
-                    if forms.appears_in(url) {
-                        flow_requests += 1;
-                        dests.insert(dest);
-                    }
-                }
-            }
-        }
-        f[8] = flow_requests as f64;
-        f[9] = dests.len() as f64;
+        f[8] = flow_requests[p] as f64;
+        f[9] = flow_dests[p].len() as f64;
         f[10] = f64::from(hist.api == Some(cg_instrument::CookieApi::HttpHeader));
         f[11] = f64::from(hist.api == Some(cg_instrument::CookieApi::CookieStore));
 
@@ -272,6 +284,38 @@ mod tests {
             1.0,
             "Base64-encoded flow detected"
         );
+    }
+
+    #[test]
+    fn flows_count_every_segment_occurrence_per_url() {
+        // The identifier occurs twice in the value and ships in two
+        // URLs: 2 occurrences × 2 URLs = 4 flows, to 2 destinations.
+        let mut r = Recorder::new("site.com", 1);
+        r.record_set(
+            "_tid",
+            "a9f3c2e8b1d44756|a9f3c2e8b1d44756",
+            Some("tracker.com"),
+            None,
+            CookieApi::DocumentCookie,
+            WriteKind::Create,
+            None,
+            false,
+            0,
+        );
+        let script = cg_url::Url::parse("https://cdn.other.net/o.js").unwrap();
+        for (i, sink) in ["px.sink.io", "px.drain.net"].iter().enumerate() {
+            r.record_request(
+                &format!("https://{sink}/c?id=a9f3c2e8b1d44756"),
+                cg_http::RequestKind::Image,
+                Some(&script),
+                "site.com",
+                None,
+                1 + i as u64,
+            );
+        }
+        let samples = extract_samples(&r.finish());
+        assert_eq!(feature(&samples, "_tid", 8), 4.0);
+        assert_eq!(feature(&samples, "_tid", 9), 2.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! is bounded by the (finite) label table, never by crawl size.
 
 use crate::engine::DetectEngine;
-use cg_hash::EncodedForms;
+use cg_hash::{EncodedForms, ExfilMatcher};
 use cg_instrument::{VisitLog, WriteKind};
 use cg_script::value::split_segments;
 use cg_webgen::CookieLabel;
@@ -272,13 +272,15 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog, stages: Stages) -> VisitFa
     }
 
     // -- exfil matching: who ships which key's value where ------------
-    let mut forms: Vec<(&DetectKey, EncodedForms)> = Vec::new();
+    let mut form_keys: Vec<&DetectKey> = Vec::new();
+    let mut forms: Vec<EncodedForms> = Vec::new();
     for (key, facts) in &out.keys {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
         for value in &facts.values {
             for seg in id_segments(value) {
                 if seen.insert(seg) {
-                    forms.push((key, EncodedForms::of(seg)));
+                    form_keys.push(key);
+                    forms.push(EncodedForms::of(seg));
                 }
             }
         }
@@ -286,13 +288,14 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog, stages: Stages) -> VisitFa
     if forms.is_empty() {
         return out;
     }
-    let id_keys_in_visit = forms
-        .iter()
-        .map(|(key, _)| *key)
-        .collect::<BTreeSet<_>>()
-        .len();
+    let matcher = ExfilMatcher::compile(&forms);
+    // Forms are grouped by key in key order: each key boundary between
+    // neighbours adds one distinct key.
+    let id_keys_in_visit = 1 + form_keys.windows(2).filter(|w| w[0] != w[1]).count();
 
     let mut ships: Vec<(DetectKey, String, bool)> = Vec::new(); // (key, initiator entity, bulk)
+    let mut hits = Vec::new();
+    let mut matched: Vec<&DetectKey> = Vec::new();
     for req in &log.requests {
         let Some(dest) = &req.dest_domain else {
             continue;
@@ -300,14 +303,15 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog, stages: Stages) -> VisitFa
         if dest.eq_ignore_ascii_case(site) {
             continue; // first-party traffic is not exfiltration
         }
+        matcher.find_into(&req.url, &mut hits);
+        if hits.is_empty() {
+            continue;
+        }
         let initiator = req.initiator.as_deref().unwrap_or(site);
         let init_entity = engine.entity_of(initiator);
-        let mut matched: BTreeSet<&DetectKey> = BTreeSet::new();
-        for (key, form) in &forms {
-            if form.appears_in(&req.url) {
-                matched.insert(key);
-            }
-        }
+        matched.clear();
+        matched.extend(hits.iter().map(|&i| form_keys[i]));
+        matched.dedup();
         // Bulk = many keys in absolute terms, or most of what this
         // visit's jar had to offer (samplers empty small jars without
         // ever hitting the absolute threshold).
@@ -315,7 +319,7 @@ pub fn extract(engine: &DetectEngine, log: &VisitLog, stages: Stages) -> VisitFa
             || (matched.len() >= 2
                 && matched.len() as f64
                     >= engine.config().bulk_jar_fraction * id_keys_in_visit as f64);
-        for key in matched {
+        for &key in &matched {
             out.shipped_names
                 .entry(init_entity.clone())
                 .or_default()

@@ -40,4 +40,4 @@ pub mod stats;
 pub use engine::{DetectConfig, DetectEngine};
 pub use features::{DetectKey, Owner, Stages, VisitFacts};
 pub use report::{DetectReport, FlagReason, KeyRow, Scores, Verdict};
-pub use stats::{DetectStats, ForeignAgg, KeyAgg};
+pub use stats::{DetectStats, ForeignAgg, KeyAgg, OrgId, OrgIdHasher, OrgMap};

@@ -23,7 +23,7 @@
 
 use crate::engine::DetectConfig;
 use crate::features::Owner;
-use crate::stats::{DetectStats, KeyAgg};
+use crate::stats::{DetectStats, KeyAgg, OrgId};
 use cg_webgen::CookieLabel;
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -52,13 +52,14 @@ pub struct Verdict {
 
 /// Applies the decision rules to one merged aggregate. Pure and
 /// integer-driven: two identical aggregates always yield the same
-/// verdict. `broad_shippers` lists the organizations whose crawl-wide
+/// verdict. `broad_shippers` lists the organizations (in the id space
+/// of the [`DetectStats`] that holds `agg`) whose crawl-wide
 /// shipped-name breadth exceeded [`DetectConfig::broad_shipper_names`]:
 /// their foreign-harvest evidence is discounted (they ship whatever
 /// exists, so co-shipping one key is not targeting), while self-ship
 /// evidence is never discounted — an owner exfiltrating its own cookie
 /// is deliberate regardless of how much else it ships.
-pub fn verdict(config: &DetectConfig, agg: &KeyAgg, broad_shippers: &BTreeSet<String>) -> Verdict {
+pub fn verdict(config: &DetectConfig, agg: &KeyAgg, broad_shippers: &BTreeSet<OrgId>) -> Verdict {
     let none = Verdict {
         flagged: false,
         reason: None,
@@ -240,11 +241,17 @@ impl DetectReport {
     /// byte-identical JSON out.
     pub fn from_stats(stats: &DetectStats<'_>) -> DetectReport {
         let config = stats.engine().config().clone();
-        let broad: BTreeSet<String> = stats
+        let broad_names: Vec<&str> = stats
             .shipper_names
             .iter()
             .filter(|(_, sketch)| sketch.estimate() > config.broad_shipper_names)
-            .map(|(entity, _)| entity.clone())
+            .map(|(entity, _)| entity.as_str())
+            .collect();
+        // A broad shipper never co-present with any key has no id and
+        // no foreign evidence to discount.
+        let broad: BTreeSet<OrgId> = broad_names
+            .iter()
+            .filter_map(|name| stats.org_id(name))
             .collect();
         let mut keys = Vec::with_capacity(stats.keys.len());
         let mut key_scores = Scores::default();
@@ -277,13 +284,13 @@ impl DetectReport {
                 .foreign
                 .iter()
                 .filter(|(_, f)| f.co_present >= config.min_support)
-                .max_by(|(ea, a), (eb, b)| {
+                .max_by(|(ia, a), (ib, b)| {
                     // rate comparison via cross-multiplication (exact),
                     // entity name as the deterministic tie-break
-                    (a.ships * b.co_present, ea.as_str())
-                        .cmp(&(b.ships * a.co_present, eb.as_str()))
+                    (a.ships * b.co_present, stats.org_name(**ia))
+                        .cmp(&(b.ships * a.co_present, stats.org_name(**ib)))
                 })
-                .map(|(e, f)| (e.clone(), f.ships, f.co_present));
+                .map(|(&id, f)| (stats.org_name(id).to_string(), f.ships, f.co_present));
             keys.push(KeyRow {
                 name: key.name.clone(),
                 owner: key.owner.as_str().to_string(),
@@ -312,7 +319,7 @@ impl DetectReport {
             guard_matrix: guard,
             unlabeled_pairs: stats.unlabeled_pairs.estimate(),
             unlabeled_sets: stats.unlabeled_sets,
-            broad_shippers: broad.len() as u64,
+            broad_shippers: broad_names.len() as u64,
         }
     }
 
@@ -394,6 +401,9 @@ mod tests {
     use super::*;
     use crate::stats::ForeignAgg;
 
+    const AD_CO: OrgId = OrgId(0);
+    const NARROW_CO: OrgId = OrgId(1);
+
     fn agg(sites: u64, id: u64, pers: u64) -> KeyAgg {
         KeyAgg {
             label: CookieLabel::Tracker,
@@ -404,7 +414,7 @@ mod tests {
         }
     }
 
-    fn no_broad() -> BTreeSet<String> {
+    fn no_broad() -> BTreeSet<OrgId> {
         BTreeSet::new()
     }
 
@@ -448,7 +458,7 @@ mod tests {
         // foreign path: rate is conditional on co-presence
         let mut c = agg(20, 20, 20);
         c.foreign.insert(
-            "AdCo".into(),
+            AD_CO,
             ForeignAgg {
                 co_present: 10,
                 ships: 3, // 0.30 ≥ θ_foreign 0.18
@@ -461,7 +471,7 @@ mod tests {
         // same ships over a thin denominator is ignored
         let mut d = agg(20, 20, 20);
         d.foreign.insert(
-            "AdCo".into(),
+            AD_CO,
             ForeignAgg {
                 co_present: 2,
                 ships: 2,
@@ -473,11 +483,11 @@ mod tests {
     #[test]
     fn broad_shippers_lose_foreign_evidence_but_not_self_ship() {
         let cfg = DetectConfig::default();
-        let broad: BTreeSet<String> = ["AdCo".to_string()].into();
+        let broad: BTreeSet<OrgId> = [AD_CO].into();
         // the only foreign evidence comes from a broad shipper → ignored
         let mut a = agg(20, 20, 20);
         a.foreign.insert(
-            "AdCo".into(),
+            AD_CO,
             ForeignAgg {
                 co_present: 10,
                 ships: 9,
@@ -487,7 +497,7 @@ mod tests {
         // a second, narrow entity with the same evidence still fires
         let mut b = a.clone();
         b.foreign.insert(
-            "NarrowCo".into(),
+            NARROW_CO,
             ForeignAgg {
                 co_present: 10,
                 ships: 9,

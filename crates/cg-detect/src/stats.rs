@@ -21,7 +21,8 @@ use cg_crawlstore::{ReadBackend, StoreError};
 use cg_instrument::VisitLog;
 use cg_telemetry::{global, Class, Counter};
 use cg_webgen::CookieLabel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -34,6 +35,57 @@ fn detect_metrics() -> &'static DetectMetrics {
     METRICS.get_or_init(|| DetectMetrics {
         logs_folded: global().counter("detect.logs_folded", Class::Workload),
     })
+}
+
+/// A foreign organization, interned by the [`DetectStats`] that folded
+/// it. Ids are local to one fold state: `merge` remaps the other
+/// partial's ids, and [`DetectStats::org_name`] turns them back into
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct OrgId(pub u32);
+
+/// Hasher for [`OrgId`] keys: one multiply. Ids are small dense
+/// integers chosen by the fold, so SipHash's collision resistance buys
+/// nothing on the co-presence hot path.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OrgIdHasher(u64);
+
+impl Hasher for OrgIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A sparse map keyed by [`OrgId`].
+pub type OrgMap<V> = HashMap<OrgId, V, BuildHasherDefault<OrgIdHasher>>;
+
+/// The organization interner: each name stored once per fold state.
+#[derive(Debug, Clone, Default)]
+struct Orgs {
+    names: Vec<String>,
+    ids: HashMap<String, OrgId>,
+}
+
+impl Orgs {
+    fn intern(&mut self, name: &str) -> OrgId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = OrgId(u32::try_from(self.names.len()).expect("fewer than 2^32 organizations"));
+        self.ids.insert(name.to_string(), id);
+        self.names.push(name.to_string());
+        id
+    }
 }
 
 /// One foreign organization's interaction with one key: how often it
@@ -64,8 +116,10 @@ pub struct KeyAgg {
     pub respawn_sites: u64,
     /// Sites where the owner itself shipped the value off-site.
     pub self_ship_sites: u64,
-    /// Per foreign organization: co-presence and harvest counts.
-    pub foreign: BTreeMap<String, ForeignAgg>,
+    /// Per foreign organization (interned, see [`OrgId`]): co-presence
+    /// and harvest counts. Sparse: only organizations ever co-present
+    /// with this key have an entry.
+    pub foreign: OrgMap<ForeignAgg>,
     /// Distinct values observed across all sites (value stability).
     pub distinct_values: DistinctSketch,
     /// Total value-writes observed (the stability denominator).
@@ -81,7 +135,7 @@ impl Default for KeyAgg {
             persistent_sites: 0,
             respawn_sites: 0,
             self_ship_sites: 0,
-            foreign: BTreeMap::new(),
+            foreign: OrgMap::default(),
             distinct_values: DistinctSketch::default(),
             value_writes: 0,
         }
@@ -89,7 +143,9 @@ impl Default for KeyAgg {
 }
 
 impl KeyAgg {
-    fn absorb(&mut self, other: KeyAgg) {
+    /// Adds `other`, whose foreign ids `remap` translates into this
+    /// aggregate's id space.
+    fn absorb(&mut self, other: KeyAgg, remap: &[OrgId]) {
         if other.label == CookieLabel::Tracker {
             self.label = CookieLabel::Tracker;
         }
@@ -98,8 +154,8 @@ impl KeyAgg {
         self.persistent_sites += other.persistent_sites;
         self.respawn_sites += other.respawn_sites;
         self.self_ship_sites += other.self_ship_sites;
-        for (entity, agg) in other.foreign {
-            let e = self.foreign.entry(entity).or_default();
+        for (id, agg) in other.foreign {
+            let e = self.foreign.entry(remap[id.0 as usize]).or_default();
             e.co_present += agg.co_present;
             e.ships += agg.ships;
         }
@@ -121,6 +177,8 @@ pub struct DetectStats<'e> {
     pub complete: u64,
     /// Per labeled key (BTreeMap: deterministic iteration for reports).
     pub keys: BTreeMap<DetectKey, KeyAgg>,
+    /// Names behind the [`OrgId`]s in `keys`.
+    orgs: Orgs,
     /// Distinct unlabeled `(name, owner)` pairs seen (sketched, never
     /// retained — these are outside the scored universe).
     pub unlabeled_pairs: DistinctSketch,
@@ -143,6 +201,7 @@ impl<'e> DetectStats<'e> {
             crawled: 0,
             complete: 0,
             keys: BTreeMap::new(),
+            orgs: Orgs::default(),
             unlabeled_pairs: DistinctSketch::default(),
             unlabeled_sets: 0,
             shipper_names: BTreeMap::new(),
@@ -154,6 +213,16 @@ impl<'e> DetectStats<'e> {
         self.engine
     }
 
+    /// The name of an organization interned by this fold state.
+    pub fn org_name(&self, id: OrgId) -> &str {
+        &self.orgs.names[id.0 as usize]
+    }
+
+    /// The id of `name`, when this fold state has seen it co-present.
+    pub fn org_id(&self, name: &str) -> Option<OrgId> {
+        self.orgs.ids.get(name).copied()
+    }
+
     /// Folds one visit and drops it.
     pub fn fold(&mut self, log: &VisitLog) {
         detect_metrics().logs_folded.incr();
@@ -163,9 +232,20 @@ impl<'e> DetectStats<'e> {
         }
         self.complete += 1;
         let facts = extract(self.engine, log, self.stages);
+        // Resolve the visit's co-present organizations once, not per key.
+        let present: Vec<OrgId> = facts
+            .foreign_present
+            .iter()
+            .map(|e| self.orgs.intern(e))
+            .collect();
         for (key, kf) in facts.keys {
-            let owner_entity = match &key.owner {
-                Owner::Entity(e) => Some(e.as_str()),
+            let shippers: Vec<OrgId> = kf
+                .foreign_ships
+                .iter()
+                .map(|e| self.orgs.intern(e))
+                .collect();
+            let owner = match &key.owner {
+                Owner::Entity(e) => self.orgs.ids.get(e).copied(),
                 Owner::Site | Owner::Cloaked => None,
             };
             let agg = self.keys.entry(key.clone()).or_default();
@@ -185,16 +265,14 @@ impl<'e> DetectStats<'e> {
             // Foreign rates are conditional on presence: the union of
             // included-script organizations and actual shippers (a
             // shipper is present by construction).
-            let mut present = facts.foreign_present.clone();
-            present.extend(kf.foreign_ships.iter().cloned());
-            for entity in present {
-                if owner_entity == Some(entity.as_str()) {
+            let absent_shippers = shippers.iter().filter(|id| !present.contains(id));
+            for &id in present.iter().chain(absent_shippers) {
+                if owner == Some(id) {
                     continue;
                 }
-                let shipped = kf.foreign_ships.contains(&entity);
-                let f = agg.foreign.entry(entity).or_default();
+                let f = agg.foreign.entry(id).or_default();
                 f.co_present += 1;
-                f.ships += u64::from(shipped);
+                f.ships += u64::from(shippers.contains(&id));
             }
         }
         for (name, owner) in &facts.unlabeled_pairs {
@@ -216,8 +294,15 @@ impl<'e> DetectStats<'e> {
     pub fn merge(mut self, other: DetectStats<'e>) -> DetectStats<'e> {
         self.crawled += other.crawled;
         self.complete += other.complete;
+        // Remap the other partial's ids once per organization.
+        let remap: Vec<OrgId> = other
+            .orgs
+            .names
+            .iter()
+            .map(|name| self.orgs.intern(name))
+            .collect();
         for (key, agg) in other.keys {
-            self.keys.entry(key).or_default().absorb(agg);
+            self.keys.entry(key).or_default().absorb(agg, &remap);
         }
         self.unlabeled_pairs.absorb(other.unlabeled_pairs);
         self.unlabeled_sets += other.unlabeled_sets;
@@ -287,6 +372,7 @@ impl<'e> DetectStats<'e> {
 mod tests {
     use super::*;
     use crate::engine::DetectConfig;
+    use crate::report::DetectReport;
     use cg_instrument::{CookieApi, Recorder, WriteKind};
     use cg_webgen::{CookieLabels, GenConfig, WebGenerator};
     use std::sync::OnceLock;
@@ -406,5 +492,138 @@ mod tests {
         assert_eq!(seq.keys[key].sites_seen, merged.keys[key].sites_seen);
         assert_eq!(seq.keys[key].persistent_sites, 2);
         assert_eq!(merged.keys[key].distinct_values.estimate(), 2);
+    }
+
+    /// A visit on `site` where googletagmanager.com sets `_ga`, every
+    /// organization in `orgs` includes a script, and `shipper` (if any)
+    /// ships the `_ga` identifier off-site.
+    fn ga_visit(site: &str, id: &str, orgs: &[&str], shipper: Option<&str>) -> VisitLog {
+        with_max_age(
+            visit(site, |r| {
+                r.record_set(
+                    "_ga",
+                    &format!("GA1.1.{id}.1746838827"),
+                    Some("googletagmanager.com"),
+                    None,
+                    CookieApi::DocumentCookie,
+                    WriteKind::Create,
+                    None,
+                    false,
+                    5,
+                );
+                for org in orgs {
+                    r.record_inclusion(Some(&format!("https://cdn.{org}/t.js")), true);
+                }
+                if let Some(org) = shipper {
+                    let script = cg_url::Url::parse(&format!("https://cdn.{org}/t.js")).unwrap();
+                    r.record_request(
+                        &format!("https://sink.{org}/c?v={id}"),
+                        cg_http::RequestKind::Image,
+                        Some(&script),
+                        site,
+                        None,
+                        9,
+                    );
+                }
+            }),
+            63_072_000,
+        )
+    }
+
+    /// Every key's foreign evidence, by organization name.
+    fn foreign_by_name(stats: &DetectStats<'_>) -> BTreeMap<(DetectKey, String), ForeignAgg> {
+        stats
+            .keys
+            .iter()
+            .flat_map(|(key, agg)| {
+                agg.foreign
+                    .iter()
+                    .map(move |(&id, &f)| ((key.clone(), stats.org_name(id).to_string()), f))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn partials_with_different_org_tables_merge_in_either_order() {
+        // Partial A interns {x.org, y.org}; partial B interns {y.org, z.org}
+        // in a different id order (z.org is B's first organization).
+        let a = [
+            ga_visit("a1.site", "444332364", &["x.org", "y.org"], None),
+            ga_visit("a2.site", "444332365", &["y.org"], Some("y.org")),
+        ];
+        let b = [
+            ga_visit("b1.site", "444332366", &["z.org"], Some("z.org")),
+            ga_visit("b2.site", "444332367", &["y.org", "z.org"], None),
+        ];
+        let fold = |logs: &[VisitLog]| DetectStats::from_logs(engine(), Stages::Full, logs);
+        let seq = fold(&[a[0].clone(), a[1].clone(), b[0].clone(), b[1].clone()]);
+        let (pa, pb) = (fold(&a), fold(&b));
+        assert_eq!(pa.org_id("z.org"), None);
+        assert_eq!(pb.org_id("x.org"), None);
+        assert_eq!(pb.org_id("z.org"), Some(OrgId(0)));
+        let ab = pa.clone().merge(pb.clone());
+        let ba = pb.merge(pa);
+
+        let want = DetectReport::from_stats(&seq).to_json();
+        assert_eq!(DetectReport::from_stats(&ab).to_json(), want);
+        assert_eq!(DetectReport::from_stats(&ba).to_json(), want);
+        let evidence = foreign_by_name(&seq);
+        assert_eq!(foreign_by_name(&ab), evidence);
+        assert_eq!(foreign_by_name(&ba), evidence);
+        let ga = |org: &str| {
+            evidence
+                .iter()
+                .find(|((k, o), _)| k.name == "_ga" && o == org)
+                .map(|(_, f)| *f)
+        };
+        assert_eq!(
+            ga("x.org"),
+            Some(ForeignAgg {
+                co_present: 1,
+                ships: 0
+            })
+        );
+        assert_eq!(
+            ga("y.org"),
+            Some(ForeignAgg {
+                co_present: 3,
+                ships: 1
+            })
+        );
+        assert_eq!(
+            ga("z.org"),
+            Some(ForeignAgg {
+                co_present: 2,
+                ships: 1
+            })
+        );
+    }
+
+    #[test]
+    fn top_foreign_ties_break_by_name_not_id() {
+        let key = DetectKey {
+            name: "_ga".into(),
+            owner: Owner::Entity("Google".into()),
+        };
+        let tied = ForeignAgg {
+            co_present: 8,
+            ships: 2,
+        };
+        // The same named evidence under both interning orders.
+        let top = |order: [&str; 2]| {
+            let mut stats = DetectStats::new(engine(), Stages::Full);
+            let mut agg = KeyAgg::default();
+            for name in order {
+                agg.foreign.insert(stats.orgs.intern(name), tied);
+            }
+            stats.keys.insert(key.clone(), agg);
+            let report = DetectReport::from_stats(&stats);
+            (report.keys[0].top_foreign.clone(), report.to_json())
+        };
+        let (first, json) = top(["z.org", "a.org"]);
+        let (second, json2) = top(["a.org", "z.org"]);
+        assert_eq!(first, Some(("z.org".to_string(), 2, 8)));
+        assert_eq!(second, first);
+        assert_eq!(json2, json);
     }
 }

@@ -17,15 +17,19 @@
 //! digests are byte-identical to the reference algorithms (RFC 1321 /
 //! 3174 / 4648, checked against official vectors) — the exfiltration
 //! detector's encoded-identifier matching depends on it. **Entry
-//! points:** `md5_hex`, `sha1_hex`, `b64encode_no_pad`, `fnv1a32`.
+//! points:** `md5_hex`, `sha1_hex`, `b64encode_no_pad`, `fnv1a32`,
+//! and [`ExfilMatcher`] — the one compile-once matcher every exfil
+//! scan (analysis, detector, baselines) runs through.
 
 pub mod base64;
 pub mod fnv;
+pub mod matcher;
 pub mod md5;
 pub mod sha1;
 
 pub use base64::{b64decode, b64encode, b64encode_no_pad};
 pub use fnv::{fnv1a32, fnv1a32w, fnv1a64};
+pub use matcher::ExfilMatcher;
 pub use md5::md5_hex;
 pub use sha1::sha1_hex;
 
@@ -61,6 +65,11 @@ impl EncodedForms {
     }
 
     /// True when `haystack` contains any encoded form of the identifier.
+    ///
+    /// This is the reference semantics of the exfil test. Scans go
+    /// through [`ExfilMatcher`], which returns exactly the forms for
+    /// which this is true (the padded Base64 form contains the unpadded
+    /// one, so it needs no check of its own).
     pub fn appears_in(&self, haystack: &str) -> bool {
         haystack.contains(&self.plain)
             || haystack.contains(&self.base64_no_pad)

@@ -24,51 +24,74 @@ const K: [u32; 64] = [
 
 /// Computes the MD5 digest of `data`.
 pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x67452301;
-    let mut b0: u32 = 0xefcdab89;
-    let mut c0: u32 = 0x98badcfe;
-    let mut d0: u32 = 0x10325476;
-
-    // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut state: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut state, block);
     }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for block in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i {
-                0..=15 => ((b & c) | (!b & d), i),
-                16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let f = f.wrapping_add(a).wrapping_add(K[i]).wrapping_add(m[g]);
-            a = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(f.rotate_left(S[i]));
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
+    // Padding: 0x80, zeros, then the 64-bit little-endian bit length —
+    // built on the stack (one block, or two when the tail is ≥ 56 bytes).
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    let mut tail = [0u8; 128];
+    let n = pad_tail(blocks.remainder(), &mut tail);
+    tail[n - 8..n].copy_from_slice(&bit_len.to_le_bytes());
+    for block in tail[..n].chunks_exact(64) {
+        compress(&mut state, block);
     }
 
     let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+    }
     out
+}
+
+/// Copies the final partial block into `tail` and appends the 0x80
+/// marker. Returns the padded length (64 or 128); its last eight bytes
+/// are left zero for the caller's length field.
+pub(crate) fn pad_tail(rest: &[u8], tail: &mut [u8; 128]) -> usize {
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    if rest.len() < 56 {
+        64
+    } else {
+        128
+    }
+}
+
+fn compress(state: &mut [u32; 4], block: &[u8]) {
+    let mut m = [0u32; 16];
+    for (i, w) in block.chunks_exact(4).enumerate() {
+        m[i] = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    // One loop per round function, so each unrolls with its message
+    // schedule and shift amounts folded to constants.
+    for (i, &word) in m.iter().enumerate() {
+        let f = (b & c) | (!b & d);
+        (a, b, c, d) = (d, step(a, b, f, i, word), b, c);
+    }
+    for i in 16..32 {
+        let f = (d & b) | (!d & c);
+        (a, b, c, d) = (d, step(a, b, f, i, m[(5 * i + 1) % 16]), b, c);
+    }
+    for i in 32..48 {
+        let f = b ^ c ^ d;
+        (a, b, c, d) = (d, step(a, b, f, i, m[(3 * i + 5) % 16]), b, c);
+    }
+    for i in 48..64 {
+        let f = c ^ (b | !d);
+        (a, b, c, d) = (d, step(a, b, f, i, m[(7 * i) % 16]), b, c);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+#[inline(always)]
+fn step(a: u32, b: u32, f: u32, i: usize, word: u32) -> u32 {
+    let f = f.wrapping_add(a).wrapping_add(K[i]).wrapping_add(word);
+    b.wrapping_add(f.rotate_left(S[i]))
 }
 
 /// Lowercase hex MD5 digest.
@@ -77,10 +100,11 @@ pub fn md5_hex(data: &[u8]) -> String {
 }
 
 pub(crate) fn to_hex(bytes: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
+    for &b in bytes {
+        s.push(char::from(HEX[usize::from(b >> 4)]));
+        s.push(char::from(HEX[usize::from(b & 0xf)]));
     }
     s
 }

@@ -3,49 +3,17 @@
 /// Computes the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> [u8; 20] {
     let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-
-    // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    for block in msg.chunks_exact(64) {
-        let mut w = [0u32; 80];
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | (!b & d), 0x5A827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+    // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    let mut tail = [0u8; 128];
+    let n = crate::md5::pad_tail(blocks.remainder(), &mut tail);
+    tail[n - 8..n].copy_from_slice(&bit_len.to_be_bytes());
+    for block in tail[..n].chunks_exact(64) {
+        compress(&mut h, block);
     }
 
     let mut out = [0u8; 20];
@@ -53,6 +21,46 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+fn compress(h: &mut [u32; 5], block: &[u8]) {
+    let mut w = [0u32; 80];
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *h;
+    // One loop per round function, each unrolled with its constant.
+    for &wi in &w[..20] {
+        let f = (b & c) | (!b & d);
+        (a, b, c, d, e) = (step(a, e, f, 0x5A827999, wi), a, b.rotate_left(30), c, d);
+    }
+    for &wi in &w[20..40] {
+        let f = b ^ c ^ d;
+        (a, b, c, d, e) = (step(a, e, f, 0x6ED9EBA1, wi), a, b.rotate_left(30), c, d);
+    }
+    for &wi in &w[40..60] {
+        let f = (b & c) | (b & d) | (c & d);
+        (a, b, c, d, e) = (step(a, e, f, 0x8F1BBCDC, wi), a, b.rotate_left(30), c, d);
+    }
+    for &wi in &w[60..] {
+        let f = b ^ c ^ d;
+        (a, b, c, d, e) = (step(a, e, f, 0xCA62C1D6, wi), a, b.rotate_left(30), c, d);
+    }
+    for (s, v) in h.iter_mut().zip([a, b, c, d, e]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+#[inline(always)]
+fn step(a: u32, e: u32, f: u32, k: u32, word: u32) -> u32 {
+    a.rotate_left(5)
+        .wrapping_add(f)
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(word)
 }
 
 /// Lowercase hex SHA-1 digest.
