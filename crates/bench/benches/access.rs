@@ -1,9 +1,12 @@
-//! Access-layer benchmarks: per-op vs batch `GuardedJar` traffic on a
-//! jar at the 180-cookie per-domain cap, driving a mixed read/write
-//! burst (the hot crawl path). The batch API derives the caller context
-//! once and serves consecutive reads from one post-filter view, so its
-//! win over per-op access is what this group tracks in the perf
-//! trajectory.
+//! Access-layer benchmarks.
+//!
+//! * `guarded_jar_180c`: per-op vs batch `GuardedJar` traffic on a jar
+//!   at the 180-cookie per-domain cap, driving a mixed read/write burst.
+//!   The batch API derives the caller context once and serves
+//!   consecutive reads from one post-filter view.
+//! * `visit_23c`: the crawl's own traffic shape — a jar of 23 cookies
+//!   (a visit's median), one `document.cookie` get or one classified
+//!   `document.cookie` set, unguarded and under the strict guard.
 
 use cg_cookiejar::CookieJar;
 use cg_instrument::{CookieApi, NullSink, Recorder};
@@ -85,8 +88,13 @@ fn bench_access(c: &mut Criterion) {
                 // Platform implementation fielding one script op at a time.
                 let c = ctx(vendor);
                 match op {
-                    BatchOp::Read { api } => {
-                        black_box(access.read(&c, *api));
+                    BatchOp::Read {
+                        api: CookieApi::DocumentCookie,
+                    } => {
+                        black_box(access.document_cookie(&c));
+                    }
+                    BatchOp::Read { .. } => {
+                        black_box(access.get_all(&c));
                     }
                     BatchOp::Get { name } => {
                         black_box(access.get(&c, name));
@@ -123,9 +131,58 @@ fn bench_access(c: &mut Criterion) {
     group.finish();
 }
 
+const VISIT_JAR_SIZE: usize = 23;
+
+/// A visit-sized jar: the site's own cookies plus three each from five
+/// vendors, ownership recorded by a strict session (`None` = unguarded).
+fn seeded_visit(guarded: bool) -> (CookieJar, Option<GuardSession>) {
+    let mut jar = CookieJar::new();
+    let mut guard =
+        guarded.then(|| GuardEngine::shared(GuardConfig::strict()).session("bench-site.example"));
+    let mut sink = NullSink;
+    let mut access = GuardedJar::new(url(), &mut jar, guard.as_mut(), &mut sink);
+    for i in 0..VISIT_JAR_SIZE {
+        let owner = match i % 3 {
+            0 if i < 15 => format!("vendor{}.example", i / 3),
+            _ => "bench-site.example".to_string(),
+        };
+        let raw = format!("cookie_{i}=v{i}; Max-Age=86400");
+        access.set(&ctx(&owner), SetRequest::DocumentCookie { raw: &raw });
+    }
+    (jar, guard)
+}
+
+fn bench_visit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("visit_23c");
+    for (label, guarded) in [("unguarded", false), ("strict", true)] {
+        // A vendor script reading the jar: under the strict guard it
+        // sees its own cookie and the rest are filtered.
+        group.bench_function(format!("get/{label}"), |b| {
+            let (mut jar, mut guard) = seeded_visit(guarded);
+            let mut sink = NullSink;
+            let mut access = GuardedJar::new(url(), &mut jar, guard.as_mut(), &mut sink);
+            let c = ctx("vendor3.example");
+            b.iter(|| black_box(access.document_cookie(&c)));
+        });
+        // The same vendor refreshing its own cookie: classified as an
+        // overwrite against the prior, then stored.
+        group.bench_function(format!("set/{label}"), |b| {
+            let (mut jar, mut guard) = seeded_visit(guarded);
+            let mut sink = NullSink;
+            let mut access = GuardedJar::new(url(), &mut jar, guard.as_mut(), &mut sink);
+            let c = ctx("vendor3.example");
+            let req = SetRequest::DocumentCookie {
+                raw: "cookie_9=refreshed; Max-Age=86400",
+            };
+            b.iter(|| black_box(access.set(&c, req).applied));
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(40);
-    targets = bench_access
+    targets = bench_access, bench_visit
 }
 criterion_main!(benches);

@@ -168,23 +168,19 @@ pub fn apply_evasion(
     let mut stats = EvasionStats::default();
     let mut renames: HashMap<String, String> = HashMap::new();
 
-    // Collect every distinct script URL the blocker would stop.
-    let mut listed: Vec<String> = Vec::new();
-    let push_listed = |url: &str, listed: &mut Vec<String>| {
-        if defense.blocks(url, &site.spec.domain) && !listed.iter().any(|u| u == url) {
-            listed.push(url.to_string());
-        }
-    };
-    for page in std::iter::once(&site.landing).chain(site.subpages.iter()) {
-        for s in &page.scripts {
-            if let Some(u) = &s.url {
-                push_listed(u, &mut listed);
-            }
-        }
-    }
-    for url in site.injectables.keys() {
-        push_listed(url, &mut listed);
-    }
+    // Collect every distinct script URL the blocker would stop, sorted:
+    // one RNG draw per URL below, so the order must not depend on the
+    // injectables map's (per-instance) hash order.
+    let markup = std::iter::once(&site.landing)
+        .chain(site.subpages.iter())
+        .flat_map(|page| page.scripts.iter().filter_map(|s| s.url.as_ref()));
+    let mut listed: Vec<String> = markup
+        .chain(site.injectables.keys())
+        .filter(|url| defense.blocks(url, &site.spec.domain))
+        .cloned()
+        .collect();
+    listed.sort_unstable();
+    listed.dedup();
 
     for url in listed {
         if !rng.gen_bool(cfg.evade_prob.clamp(0.0, 1.0)) {

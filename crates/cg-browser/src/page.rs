@@ -11,7 +11,7 @@
 use cg_cookiejar::CookieJar;
 use cg_dom::{Document, ElementId, ElementMutation, FrameKind, ScriptSource};
 use cg_domguard::DomGuard;
-use cg_instrument::{CookieApi, DomEvent, ProbeEvent, Recorder, RequestEvent, ScriptInclusion};
+use cg_instrument::{DomEvent, ProbeEvent, Recorder, RequestEvent, ScriptInclusion};
 use cg_script::{
     Attribution, CookieChangeNotice, DomMutationKind, Platform, ScriptExecution, ScriptOp,
     SignatureDb,
@@ -315,9 +315,7 @@ impl Platform for Page<'_> {
     fn document_cookie_get(&mut self, at: &Attribution) -> String {
         self.cookie_ops += 1;
         let ctx = self.read_ctx(at);
-        self.access
-            .read(&ctx, CookieApi::DocumentCookie)
-            .serialize()
+        self.access.document_cookie(&ctx)
     }
 
     fn document_cookie_set(&mut self, at: &Attribution, raw: &str) -> bool {
@@ -343,7 +341,7 @@ impl Platform for Page<'_> {
         }
         self.cookie_ops += 1;
         let ctx = self.read_ctx(at);
-        self.access.read(&ctx, CookieApi::CookieStore).pairs()
+        self.access.get_all(&ctx)
     }
 
     fn cookie_store_set(
@@ -538,7 +536,7 @@ impl Platform for Page<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cg_instrument::WriteKind;
+    use cg_instrument::{CookieApi, WriteKind};
     use cg_script::{CookieAttrs, EventLoop, ValueSpec};
     use cookieguard_core::GuardConfig;
 

@@ -664,16 +664,27 @@ fn scripts() -> Vec<(Option<&'static str>, Vec<ScriptOp>)> {
     ]
 }
 
+/// The landing page the scripted visit runs on.
+const LANDING: &str = "https://www.shop.example/";
+
 /// Runs the scripted visit through the new access-layer [`Page`].
 fn run_new(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
-    let url = Url::parse("https://www.shop.example/").unwrap();
+    run_new_on(LANDING, scripts(), guard)
+}
+
+fn run_new_on(
+    page_url: &str,
+    scripts: Vec<(Option<&'static str>, Vec<ScriptOp>)>,
+    guard: Option<&mut CookieGuard>,
+) -> (VisitLog, CookieJar) {
+    let url = Url::parse(page_url).unwrap();
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("shop.example", 1);
     let inj = injectables();
     let mut page = Page::new(url, EPOCH, &mut jar, guard, &mut recorder, &inj, 7);
     page.apply_server_cookies(&server_cookies());
     let mut el = EventLoop::new(EPOCH);
-    for (i, (u, ops)) in scripts().into_iter().enumerate() {
+    for (i, (u, ops)) in scripts.into_iter().enumerate() {
         let exec = page.register_markup_script(u, ops);
         el.push_script(exec, i as u64 * 25);
     }
@@ -685,14 +696,22 @@ fn run_new(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
 
 /// Runs the identical visit through the historical interleaved path.
 fn run_legacy(guard: Option<&mut CookieGuard>) -> (VisitLog, CookieJar) {
-    let url = Url::parse("https://www.shop.example/").unwrap();
+    run_legacy_on(LANDING, scripts(), guard)
+}
+
+fn run_legacy_on(
+    page_url: &str,
+    scripts: Vec<(Option<&'static str>, Vec<ScriptOp>)>,
+    guard: Option<&mut CookieGuard>,
+) -> (VisitLog, CookieJar) {
+    let url = Url::parse(page_url).unwrap();
     let mut jar = CookieJar::new();
     let mut recorder = Recorder::new("shop.example", 1);
     let inj = injectables();
     let mut page = LegacyPage::new(url, EPOCH, &mut jar, guard, &mut recorder, &inj, 7);
     page.apply_server_cookies(&server_cookies());
     let mut el = EventLoop::new(EPOCH);
-    for (i, (u, ops)) in scripts().into_iter().enumerate() {
+    for (i, (u, ops)) in scripts.into_iter().enumerate() {
         let exec = page.register_markup_script(u, ops);
         el.push_script(exec, i as u64 * 25);
     }
@@ -752,4 +771,135 @@ fn vanilla_visit_is_byte_identical_to_legacy_path() {
         .reads
         .iter()
         .any(|r| r.cookies.iter().any(|(n, _)| n == "site_sess")));
+}
+
+/// One name stored at three (domain, path) identities, all visible from
+/// the page, then overwritten. `document.cookie` writes are classified
+/// against the *first* same-name cookie in serialization order: the
+/// longest path, then the earliest creation, then insertion order. The
+/// attribute-change flags on the overwrite events pin which of the three
+/// was taken as the prior.
+fn shadowed_name_scripts() -> Vec<(Option<&'static str>, Vec<ScriptOp>)> {
+    let set = |value: &str, site_wide: bool, path: &str| ScriptOp::SetCookie {
+        name: "dup".into(),
+        value: ValueSpec::Fixed(value.into()),
+        attrs: CookieAttrs {
+            site_wide,
+            path: Some(path.into()),
+            ..CookieAttrs::default()
+        },
+    };
+    vec![
+        (
+            Some("https://www.shop.example/static/app.js"),
+            vec![
+                set("root", false, "/"),
+                set("site", true, "/"),
+                // Tie on path length and creation time: the earlier
+                // insertion (`root`) is the prior, and its value is kept.
+                ScriptOp::OverwriteCookie {
+                    target: "dup".into(),
+                    value: ValueSpec::Fixed("unused".into()),
+                    changes: cg_script::AttrChanges {
+                        value: false,
+                        expires: false,
+                        domain: false,
+                        path: true,
+                    },
+                    blind: false,
+                },
+                set("deep", false, "/a"),
+                // The longer path wins over both `/` cookies.
+                ScriptOp::OverwriteCookie {
+                    target: "dup".into(),
+                    value: ValueSpec::Fixed("fresh".into()),
+                    changes: cg_script::AttrChanges {
+                        value: true,
+                        expires: false,
+                        domain: false,
+                        path: true,
+                    },
+                    blind: false,
+                },
+                ScriptOp::CookieStoreSet {
+                    name: "dup".into(),
+                    value: ValueSpec::Fixed("store".into()),
+                    expires_in_ms: None,
+                },
+                ScriptOp::ReadAllCookies,
+            ],
+        ),
+        (
+            Some("https://t.tracker.example/t.js"),
+            vec![
+                ScriptOp::OverwriteCookie {
+                    target: "dup".into(),
+                    value: ValueSpec::Fixed("hijack".into()),
+                    changes: cg_script::AttrChanges {
+                        value: true,
+                        expires: true,
+                        domain: true,
+                        path: false,
+                    },
+                    blind: false,
+                },
+                ScriptOp::ReadAllCookies,
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn shadowed_name_overwrite_classifies_like_legacy_path() {
+    const PAGE: &str = "https://www.shop.example/a/b";
+    for guarded in [false, true] {
+        let mut guard_new = CookieGuard::new(GuardConfig::strict(), "shop.example");
+        let mut guard_old = CookieGuard::new(GuardConfig::strict(), "shop.example");
+        let (log_new, jar_new) = run_new_on(
+            PAGE,
+            shadowed_name_scripts(),
+            guarded.then_some(&mut guard_new),
+        );
+        let (log_old, jar_old) = run_legacy_on(
+            PAGE,
+            shadowed_name_scripts(),
+            guarded.then_some(&mut guard_old),
+        );
+        assert_eq!(
+            serde_json::to_string(&log_new).unwrap(),
+            serde_json::to_string(&log_old).unwrap(),
+            "VisitLog JSON must match byte for byte (guarded: {guarded})"
+        );
+        assert_eq!(
+            serde_json::to_string(&jar_new).unwrap(),
+            serde_json::to_string(&jar_old).unwrap(),
+            "jar state must match (guarded: {guarded})"
+        );
+        assert_eq!(guard_new.stats(), guard_old.stats());
+
+        // The first-party overwrites' attribute-change flags name the
+        // prior each was classified against: `root` for the tie (same
+        // value, same path), then `deep` (longest path, so `Path=/` is a
+        // path change).
+        let flags: Vec<Option<AttrChangeFlags>> = log_new
+            .sets
+            .iter()
+            .filter(|s| {
+                s.kind == WriteKind::Overwrite
+                    && s.api == CookieApi::DocumentCookie
+                    && s.actor.as_deref() == Some("shop.example")
+                    && (s.value == "root" || s.value == "fresh")
+            })
+            .map(|s| s.changes)
+            .collect();
+        let flag = |value, path| {
+            Some(AttrChangeFlags {
+                value,
+                expires: false,
+                domain: false,
+                path,
+            })
+        };
+        assert_eq!(flags, vec![flag(false, false), flag(true, true)]);
+    }
 }

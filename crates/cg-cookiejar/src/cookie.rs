@@ -2,6 +2,7 @@
 
 use cg_http::{SameSite, SetCookie};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A cookie as stored by the user agent (RFC 6265 §5.3 storage model).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,12 +91,46 @@ impl Cookie {
     /// The `name=value` form used in `Cookie:` headers and
     /// `document.cookie`.
     pub fn pair(&self) -> String {
-        if self.name.is_empty() {
-            self.value.clone()
-        } else {
-            format!("{}={}", self.name, self.value)
+        let mut out = String::with_capacity(self.pair_len());
+        self.write_pair(&mut out);
+        out
+    }
+
+    /// Appends the [`Cookie::pair`] form to `out`.
+    fn write_pair(&self, out: &mut String) {
+        if !self.name.is_empty() {
+            out.push_str(&self.name);
+            out.push('=');
+        }
+        out.push_str(&self.value);
+    }
+
+    /// Byte length of the [`Cookie::pair`] form.
+    fn pair_len(&self) -> usize {
+        match self.name.len() {
+            0 => self.value.len(),
+            n => n + 1 + self.value.len(),
         }
     }
+}
+
+/// Serializes cookies, in the given order, as `document.cookie` /
+/// `Cookie:` header text (`"a=1; b=2"`), written into one exactly-sized
+/// buffer.
+pub fn join_pairs<C: Borrow<Cookie>>(cookies: &[C]) -> String {
+    let len = cookies
+        .iter()
+        .map(|c| c.borrow().pair_len() + 2)
+        .sum::<usize>()
+        .saturating_sub(2);
+    let mut out = String::with_capacity(len);
+    for (i, c) in cookies.iter().enumerate() {
+        if i > 0 {
+            out.push_str("; ");
+        }
+        c.borrow().write_pair(&mut out);
+    }
+    out
 }
 
 /// The default path for a URL per RFC 6265 §5.1.4: the request path up to

@@ -21,11 +21,13 @@
 //! equivalence tests and benchmarks).
 
 use crate::changes::{ChangeCause, CookieChange};
-use crate::cookie::{default_path, Cookie};
+use crate::cookie::{default_path, join_pairs, Cookie};
 use cg_http::{parse_set_cookie, SetCookie};
 use cg_url::intern::{self, DomainId};
 use cg_url::{psl, Url};
 use serde::{de, Content, DeError, Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -206,7 +208,7 @@ impl CookieJar {
         url: &Url,
         now_ms: i64,
     ) -> Result<(), SetCookieError> {
-        self.store(sc, url, now_ms, true, None).map(|_| ())
+        self.store(sc, url, now_ms, true, None, |_| ())
     }
 
     /// [`CookieJar::set_from_header`] with a pre-resolved [`ShardPin`]
@@ -219,7 +221,7 @@ impl CookieJar {
         url: &Url,
         now_ms: i64,
     ) -> Result<(), SetCookieError> {
-        self.store(sc, url, now_ms, true, Some(pin)).map(|_| ())
+        self.store(sc, url, now_ms, true, Some(pin), |_| ())
     }
 
     /// Stores a cookie written through `document.cookie = "…"` or
@@ -259,6 +261,8 @@ impl CookieJar {
     /// [`CookieJar::set_document_cookie_pinned`] for a `Set-Cookie`
     /// string the caller already parsed — the access layer parses once
     /// for write classification and hands the result straight down.
+    /// Returns no copy of the stored cookie: the access layer logs the
+    /// write from the request, not from the jar.
     #[doc(hidden)]
     pub fn set_parsed_document_cookie_pinned(
         &mut self,
@@ -266,8 +270,8 @@ impl CookieJar {
         sc: &SetCookie,
         url: &Url,
         now_ms: i64,
-    ) -> Result<Cookie, SetCookieError> {
-        self.store_document_cookie(sc, url, now_ms, Some(pin))
+    ) -> Result<(), SetCookieError> {
+        self.store(sc, url, now_ms, false, Some(pin), |_| ())
     }
 
     fn set_document_cookie_impl(
@@ -278,27 +282,20 @@ impl CookieJar {
         pin: Option<&ShardPin>,
     ) -> Result<Cookie, SetCookieError> {
         let sc = parse_set_cookie(raw).ok_or(SetCookieError::Unparseable)?;
-        self.store_document_cookie(&sc, url, now_ms, pin)
+        self.store(&sc, url, now_ms, false, pin, Cookie::clone)
     }
 
-    fn store_document_cookie(
-        &mut self,
-        sc: &SetCookie,
-        url: &Url,
-        now_ms: i64,
-        pin: Option<&ShardPin>,
-    ) -> Result<Cookie, SetCookieError> {
-        self.store(sc, url, now_ms, false, pin)
-    }
-
-    fn store(
+    /// Validates and stores `sc`, returning `stored` applied to the
+    /// cookie as stored — before any eviction the insert triggers.
+    fn store<R>(
         &mut self,
         sc: &SetCookie,
         url: &Url,
         now_ms: i64,
         http_api: bool,
         pin: Option<&ShardPin>,
-    ) -> Result<Cookie, SetCookieError> {
+        stored: impl FnOnce(&Cookie) -> R,
+    ) -> Result<R, SetCookieError> {
         let host = url.host_str();
         validate_set(sc, url, &host, http_api)?;
         let cookie = Cookie::from_set_cookie(sc, &host, &default_path(&url.path), now_ms);
@@ -325,15 +322,15 @@ impl CookieJar {
             let created = existing.cookie.created_at_ms;
             existing.cookie = cookie;
             existing.cookie.created_at_ms = created;
-            let stored = existing.cookie.clone();
+            let c = &existing.cookie;
             self.changes.push(CookieChange {
-                name: stored.name.clone(),
-                value: stored.value.clone(),
+                name: c.name.clone(),
+                value: c.value.clone(),
                 cause: ChangeCause::Replaced,
-                http_only: stored.http_only,
+                http_only: c.http_only,
                 at_ms: now_ms,
             });
-            Ok(stored)
+            Ok(stored(c))
         } else {
             self.changes.push(CookieChange {
                 name: cookie.name.clone(),
@@ -342,13 +339,13 @@ impl CookieJar {
                 http_only: cookie.http_only,
                 at_ms: now_ms,
             });
-            let stored = cookie.clone();
+            let result = stored(&cookie);
             let seq = self.next_seq;
             self.next_seq += 1;
             shard.push(StoredCookie { seq, cookie });
             self.total += 1;
             self.evict_if_needed(shard_id, now_ms);
-            Ok(stored)
+            Ok(result)
         }
     }
 
@@ -464,62 +461,54 @@ impl CookieJar {
     // Retrieval
     // ------------------------------------------------------------------
 
-    /// The cookies a script at `url`'s document can observe: domain- and
-    /// path-matching, unexpired, not `HttpOnly`, and `Secure` only when
-    /// the document is https. This is the raw jar view that
-    /// `document.cookie` serializes and that CookieGuard filters.
+    /// The cookies a script at `url`'s document can observe, borrowed,
+    /// in serialization order: domain- and path-matching, unexpired, not
+    /// `HttpOnly`, and `Secure` only when the document is https. This is
+    /// the raw jar view that `document.cookie` serializes and that
+    /// CookieGuard filters. `pin` must be resolved for `url`'s host.
     ///
     /// Only the host's eTLD+1 shard is scanned; the rest of the jar is
     /// never touched.
-    pub fn cookies_for_document(&self, url: &Url, now_ms: i64) -> Vec<Cookie> {
-        self.document_view(self.shard_for_host(&url.host_str()), url, now_ms)
+    pub fn document_view_pinned(&self, pin: &ShardPin, url: &Url, now_ms: i64) -> Vec<&Cookie> {
+        sorted(self.document_cookies_pinned(pin, url, now_ms).collect())
     }
 
-    /// [`CookieJar::cookies_for_document`] with a pre-resolved
-    /// [`ShardPin`] for `url`'s host (burst path; see [`ShardPin`]).
-    pub fn cookies_for_document_pinned(
-        &self,
-        pin: &ShardPin,
-        url: &Url,
-        now_ms: i64,
-    ) -> Vec<Cookie> {
-        self.document_view(self.shards.get(&pin.id), url, now_ms)
-    }
-
-    fn document_view(
-        &self,
-        shard: Option<&Vec<StoredCookie>>,
-        url: &Url,
-        now_ms: i64,
-    ) -> Vec<Cookie> {
+    /// [`CookieJar::document_view_pinned`] resolving the shard from
+    /// `url`'s host.
+    fn document_view(&self, url: &Url, now_ms: i64) -> Vec<&Cookie> {
         let host = url.host_str();
-        let mut matching: Vec<Cookie> = shard
-            .map(|shard| {
-                shard
-                    .iter()
-                    .filter(|s| {
-                        let c = &s.cookie;
-                        !c.is_expired(now_ms)
-                            && !c.http_only
-                            && c.domain_matches(&host)
-                            && c.path_matches(&url.path)
-                            && (!c.secure || url.scheme == "https")
-                    })
-                    .map(|s| s.cookie.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        sort_for_serialization(&mut matching);
-        matching
+        let view = visible_to_document(self.shard_for_host(&host), &host, url, now_ms);
+        sorted(view.collect())
+    }
+
+    /// The cookies of [`CookieJar::document_view_pinned`] in storage
+    /// (insertion) order, unsorted — for one-pass questions that need no
+    /// ordered list: "is a cookie named `n` visible?", or, with
+    /// [`serialization_order`] and `min_by` (which keeps the first of
+    /// equals, as the stable sort does), "which one does the view list
+    /// first?".
+    pub fn document_cookies_pinned<'j: 'q, 'q>(
+        &'j self,
+        pin: &'q ShardPin,
+        url: &'q Url,
+        now_ms: i64,
+    ) -> impl Iterator<Item = &'j Cookie> + 'q {
+        visible_to_document(self.shards.get(&pin.id), &pin.host, url, now_ms)
+    }
+
+    /// Owned copies of the document view (see
+    /// [`CookieJar::document_view_pinned`]), for callers that keep the
+    /// cookies past the next jar mutation.
+    pub fn cookies_for_document(&self, url: &Url, now_ms: i64) -> Vec<Cookie> {
+        self.document_view(url, now_ms)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// The `document.cookie` getter: `"a=1; b=2"`.
     pub fn document_cookie(&self, url: &Url, now_ms: i64) -> String {
-        self.cookies_for_document(url, now_ms)
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
+        join_pairs(&self.document_view(url, now_ms))
     }
 
     /// The `Cookie:` header value attached to an HTTP request for `url`.
@@ -527,28 +516,19 @@ impl CookieJar {
     /// are invisible to scripts, not to the network.
     pub fn cookie_header_for_request(&self, url: &Url, now_ms: i64) -> String {
         let host = url.host_str();
-        let mut matching: Vec<Cookie> = self
+        let matching = self
             .shard_for_host(&host)
-            .map(|shard| {
-                shard
-                    .iter()
-                    .filter(|s| {
-                        let c = &s.cookie;
-                        !c.is_expired(now_ms)
-                            && c.domain_matches(&host)
-                            && c.path_matches(&url.path)
-                            && (!c.secure || url.scheme == "https")
-                    })
-                    .map(|s| s.cookie.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        sort_for_serialization(&mut matching);
-        matching
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
+            .into_iter()
+            .flatten()
+            .filter_map(|s| {
+                let c = &s.cookie;
+                (!c.is_expired(now_ms)
+                    && c.domain_matches(&host)
+                    && c.path_matches(&url.path)
+                    && (!c.secure || url.scheme == "https"))
+                    .then_some(c)
+            });
+        join_pairs(&sorted(matching.collect()))
     }
 
     /// The `Cookie:` header for a *subresource* request to `url` made
@@ -575,31 +555,46 @@ impl CookieJar {
             return self.cookie_header_for_request(url, now_ms);
         }
         let host = url.host_str();
-        let mut matching: Vec<Cookie> = self
+        let matching = self
             .shard_for_host(&host)
-            .map(|shard| {
-                shard
-                    .iter()
-                    .filter(|s| {
-                        let c = &s.cookie;
-                        !c.is_expired(now_ms)
-                            && c.domain_matches(&host)
-                            && c.path_matches(&url.path)
-                            && url.scheme == "https"
-                            && c.same_site == Some(cg_http::SameSite::None)
-                            && c.secure
-                    })
-                    .map(|s| s.cookie.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        sort_for_serialization(&mut matching);
-        matching
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
+            .into_iter()
+            .flatten()
+            .filter_map(|s| {
+                let c = &s.cookie;
+                (!c.is_expired(now_ms)
+                    && c.domain_matches(&host)
+                    && c.path_matches(&url.path)
+                    && url.scheme == "https"
+                    && c.same_site == Some(cg_http::SameSite::None)
+                    && c.secure)
+                    .then_some(c)
+            });
+        join_pairs(&sorted(matching.collect()))
     }
+}
+
+/// The script-visible cookies of one shard for a document at `url`
+/// (whose host is `host`), in storage order.
+fn visible_to_document<'j: 'q, 'q>(
+    shard: Option<&'j Vec<StoredCookie>>,
+    host: &'q str,
+    url: &'q Url,
+    now_ms: i64,
+) -> impl Iterator<Item = &'j Cookie> + 'q {
+    shard.into_iter().flatten().filter_map(move |s| {
+        let c = &s.cookie;
+        (!c.is_expired(now_ms)
+            && !c.http_only
+            && c.domain_matches(host)
+            && c.path_matches(&url.path)
+            && (!c.secure || url.scheme == "https"))
+            .then_some(c)
+    })
+}
+
+fn sorted(mut cookies: Vec<&Cookie>) -> Vec<&Cookie> {
+    sort_for_serialization(&mut cookies);
+    cookies
 }
 
 // ---------------------------------------------------------------------
@@ -686,16 +681,20 @@ pub(crate) fn validate_set(
     Ok(())
 }
 
-/// RFC 6265 §5.4 step 2: longer paths first; among equal-length paths,
-/// earlier creation times first.
-pub(crate) fn sort_for_serialization(cookies: &mut [Cookie]) {
-    cookies.sort_by(|a, b| {
-        b.path
-            .len()
-            .cmp(&a.path.len())
-            .then(a.created_at_ms.cmp(&b.created_at_ms))
-            .then(a.name.cmp(&b.name))
-    });
+/// The `document.cookie` / `Cookie:` listing order (RFC 6265 §5.4 step
+/// 2): longer paths first; among equal-length paths, earlier creation
+/// times first; then by name. Cookies equal under it keep storage order.
+pub fn serialization_order(a: &Cookie, b: &Cookie) -> Ordering {
+    b.path
+        .len()
+        .cmp(&a.path.len())
+        .then(a.created_at_ms.cmp(&b.created_at_ms))
+        .then(a.name.cmp(&b.name))
+}
+
+/// Stable sort by [`serialization_order`].
+pub(crate) fn sort_for_serialization<C: Borrow<Cookie>>(cookies: &mut [C]) {
+    cookies.sort_by(|a, b| serialization_order(a.borrow(), b.borrow()));
 }
 
 #[cfg(test)]
@@ -1156,8 +1155,8 @@ mod tests {
             assert_eq!(p, q, "store diverged for {raw}");
         }
         assert_eq!(
-            pinned.cookies_for_document_pinned(&pin, &u, 10),
-            plain.cookies_for_document(&u, 10)
+            pinned.document_view_pinned(&pin, &u, 10),
+            plain.document_view(&u, 10)
         );
         assert_eq!(
             pinned.delete_pinned(&pin, "a", &u, 11),
@@ -1186,7 +1185,7 @@ mod tests {
         let api = ShardPin::for_host("api.pin-two.com");
         let au = url("https://api.pin-two.com/");
         assert_eq!(
-            jar.cookies_for_document_pinned(&api, &au, 1)
+            jar.document_view_pinned(&api, &au, 1)
                 .iter()
                 .map(|c| c.pair())
                 .collect::<Vec<_>>(),

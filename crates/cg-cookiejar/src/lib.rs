@@ -30,9 +30,9 @@ pub mod jar;
 pub mod store;
 
 pub use changes::{ChangeCause, CookieChange};
-pub use cookie::Cookie;
+pub use cookie::{join_pairs, Cookie};
 pub use flat::FlatJar;
-pub use jar::{CookieJar, SetCookieError, ShardPin};
+pub use jar::{serialization_order, CookieJar, SetCookieError, ShardPin};
 pub use store::{CookieListItem, CookieStore};
 
 #[cfg(test)]

@@ -357,6 +357,237 @@ impl Cursor<'_> {
 }
 
 // ---------------------------------------------------------------------
+// Specialized VisitLog encoder: the record fast path
+// ---------------------------------------------------------------------
+
+/// Encodes a [`VisitLog`] payload onto `out` (appends; does not clear)
+/// straight from the borrowed log — no intermediate [`Content`] tree, so
+/// no string is cloned.
+///
+/// The positional mirror of [`decode_visit_log`]: it writes the field
+/// sequence the derive-generated `to_content` emits (declaration order,
+/// unit enum variants as their names, `None` as null), and its output is
+/// byte-identical to `encode_content(&log.to_content(), out)`, which
+/// stays the generic reference. A differential test pins the two
+/// against each other on real crawl records and hand-built edge cases.
+pub fn encode_visit_log(log: &VisitLog, out: &mut Vec<u8>) {
+    let mut e = Enc(out);
+    e.struct_header(9);
+    e.key("site_domain");
+    e.str(&log.site_domain);
+    e.key("rank");
+    e.u64(log.rank as u64);
+    e.key("complete");
+    e.bool(log.complete);
+    e.key("sets");
+    e.seq(&log.sets, Enc::set_event);
+    e.key("reads");
+    e.seq(&log.reads, Enc::read_event);
+    e.key("requests");
+    e.seq(&log.requests, Enc::request_event);
+    e.key("probes");
+    e.seq(&log.probes, Enc::probe_event);
+    e.key("dom_events");
+    e.seq(&log.dom_events, Enc::dom_event);
+    e.key("inclusions");
+    e.seq(&log.inclusions, Enc::inclusion);
+}
+
+struct Enc<'o>(&'o mut Vec<u8>);
+
+impl Enc<'_> {
+    fn struct_header(&mut self, fields: u64) {
+        self.0.push(TAG_MAP);
+        write_varint(self.0, fields);
+    }
+
+    fn key(&mut self, name: &str) {
+        self.str(name);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.0.push(TAG_STR);
+        write_varint(self.0, s.len() as u64);
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    fn opt_str(&mut self, s: Option<&str>) {
+        match s {
+            Some(s) => self.str(s),
+            None => self.0.push(TAG_NULL),
+        }
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.0.push(if b { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.push(TAG_U64);
+        write_varint(self.0, v);
+    }
+
+    fn opt_i64(&mut self, v: Option<i64>) {
+        match v {
+            Some(v) => {
+                self.0.push(TAG_I64);
+                write_varint(self.0, zigzag(v));
+            }
+            None => self.0.push(TAG_NULL),
+        }
+    }
+
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.0.push(TAG_SEQ);
+        write_varint(self.0, items.len() as u64);
+        for it in items {
+            item(self, it);
+        }
+    }
+
+    fn cookie_api(&mut self, api: CookieApi) {
+        self.str(match api {
+            CookieApi::DocumentCookie => "DocumentCookie",
+            CookieApi::CookieStore => "CookieStore",
+            CookieApi::HttpHeader => "HttpHeader",
+        });
+    }
+
+    fn write_kind(&mut self, kind: WriteKind) {
+        self.str(match kind {
+            WriteKind::Create => "Create",
+            WriteKind::Overwrite => "Overwrite",
+            WriteKind::Delete => "Delete",
+        });
+    }
+
+    fn request_kind(&mut self, kind: RequestKind) {
+        self.str(match kind {
+            RequestKind::Document => "Document",
+            RequestKind::Script => "Script",
+            RequestKind::Image => "Image",
+            RequestKind::Xhr => "Xhr",
+            RequestKind::Beacon => "Beacon",
+            RequestKind::Subframe => "Subframe",
+            RequestKind::Other => "Other",
+        });
+    }
+
+    fn attr_changes(&mut self, changes: Option<AttrChangeFlags>) {
+        let Some(c) = changes else {
+            self.0.push(TAG_NULL);
+            return;
+        };
+        self.struct_header(4);
+        self.key("value");
+        self.bool(c.value);
+        self.key("expires");
+        self.bool(c.expires);
+        self.key("domain");
+        self.bool(c.domain);
+        self.key("path");
+        self.bool(c.path);
+    }
+
+    fn set_event(&mut self, ev: &SetEvent) {
+        self.struct_header(10);
+        self.key("name");
+        self.str(&ev.name);
+        self.key("value");
+        self.str(&ev.value);
+        self.key("actor");
+        self.opt_str(ev.actor.as_deref());
+        self.key("actor_url");
+        self.opt_str(ev.actor_url.as_deref());
+        self.key("api");
+        self.cookie_api(ev.api);
+        self.key("kind");
+        self.write_kind(ev.kind);
+        self.key("max_age_s");
+        self.opt_i64(ev.max_age_s);
+        self.key("changes");
+        self.attr_changes(ev.changes);
+        self.key("blocked");
+        self.bool(ev.blocked);
+        self.key("time_ms");
+        self.u64(ev.time_ms);
+    }
+
+    fn read_event(&mut self, ev: &ReadEvent) {
+        self.struct_header(5);
+        self.key("actor");
+        self.opt_str(ev.actor.as_deref());
+        self.key("api");
+        self.cookie_api(ev.api);
+        self.key("cookies");
+        self.seq(&ev.cookies, |e, (name, value)| {
+            e.0.push(TAG_SEQ);
+            write_varint(e.0, 2);
+            e.str(name);
+            e.str(value);
+        });
+        self.key("filtered_count");
+        self.u64(ev.filtered_count as u64);
+        self.key("time_ms");
+        self.u64(ev.time_ms);
+    }
+
+    fn request_event(&mut self, ev: &RequestEvent) {
+        self.struct_header(8);
+        self.key("url");
+        self.str(&ev.url);
+        self.key("dest_domain");
+        self.opt_str(ev.dest_domain.as_deref());
+        self.key("kind");
+        self.request_kind(ev.kind);
+        self.key("initiator");
+        self.opt_str(ev.initiator.as_deref());
+        self.key("initiator_url");
+        self.opt_str(ev.initiator_url.as_deref());
+        self.key("first_party");
+        self.str(&ev.first_party);
+        self.key("cookie_header");
+        self.opt_str(ev.cookie_header.as_deref());
+        self.key("time_ms");
+        self.u64(ev.time_ms);
+    }
+
+    fn probe_event(&mut self, ev: &ProbeEvent) {
+        self.struct_header(4);
+        self.key("feature");
+        self.str(&ev.feature);
+        self.key("cookie");
+        self.str(&ev.cookie);
+        self.key("ok");
+        self.bool(ev.ok);
+        self.key("actor");
+        self.opt_str(ev.actor.as_deref());
+    }
+
+    fn dom_event(&mut self, ev: &DomEvent) {
+        self.struct_header(4);
+        self.key("actor");
+        self.opt_str(ev.actor.as_deref());
+        self.key("owner");
+        self.str(&ev.owner);
+        self.key("kind");
+        self.str(&ev.kind);
+        self.key("blocked");
+        self.bool(ev.blocked);
+    }
+
+    fn inclusion(&mut self, inc: &ScriptInclusion) {
+        self.struct_header(3);
+        self.key("url");
+        self.str(&inc.url);
+        self.key("domain");
+        self.opt_str(inc.domain.as_deref());
+        self.key("direct");
+        self.bool(inc.direct);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Specialized VisitLog decoder: the replay fast path
 // ---------------------------------------------------------------------
 

@@ -123,46 +123,91 @@ fn index_check_prefix(stride: u32, count: usize) -> u64 {
     (u64::from(stride) << 32) | count as u64
 }
 
+/// Why a sidecar was refused. The loader treats every case alike ("no
+/// index", rescan); the variants exist for tests and diagnostics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexError {
+    /// Shorter than the fixed header plus checksum trailer.
+    TooShort,
+    /// The `CGIX` magic is missing.
+    BadMagic,
+    /// A format version this build does not read.
+    UnsupportedVersion(u32),
+    /// A stride of zero frames.
+    ZeroStride,
+    /// The trailer does not match the header and body.
+    ChecksumMismatch,
+    /// The body ends inside an entry (or before the declared count).
+    Truncated,
+    /// A rank or offset delta of zero after the first entry.
+    NotIncreasing,
+    /// A rank or offset sum past `u64::MAX`.
+    Overflow,
+    /// Bytes left over after the declared entries.
+    TrailingBytes,
+}
+
+impl std::fmt::Display for IndexError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IndexError::TooShort => f.write_str("index shorter than its fixed header"),
+            IndexError::BadMagic => f.write_str("bad index magic"),
+            IndexError::UnsupportedVersion(v) => write!(f, "unsupported index version {v}"),
+            IndexError::ZeroStride => f.write_str("index stride is zero"),
+            IndexError::ChecksumMismatch => f.write_str("index checksum mismatch"),
+            IndexError::Truncated => f.write_str("index entry truncated"),
+            IndexError::NotIncreasing => f.write_str("index entries not strictly increasing"),
+            IndexError::Overflow => f.write_str("index entry overflows u64"),
+            IndexError::TrailingBytes => f.write_str("index has trailing bytes"),
+        }
+    }
+}
+
+impl std::error::Error for IndexError {}
+
 /// Decodes a sidecar; any structural problem is an `Err` (the caller
-/// treats it as "no index" and rescans).
-pub fn decode_index(bytes: &[u8]) -> Result<FrameIndex, String> {
+/// treats it as "no index" and rescans). Hostile input is bounded: the
+/// declared entry count never sizes an allocation beyond what the body
+/// could hold (every entry takes at least two bytes), and the running
+/// rank and offset sums are checked.
+pub fn decode_index(bytes: &[u8]) -> Result<FrameIndex, IndexError> {
     if bytes.len() < 20 {
-        return Err("index shorter than its fixed header".into());
+        return Err(IndexError::TooShort);
     }
     if &bytes[0..4] != INDEX_MAGIC {
-        return Err("bad index magic".into());
+        return Err(IndexError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != INDEX_VERSION {
-        return Err(format!("unsupported index version {version}"));
+        return Err(IndexError::UnsupportedVersion(version));
     }
     let stride = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
     if stride == 0 {
-        return Err("index stride is zero".into());
+        return Err(IndexError::ZeroStride);
     }
     let body = &bytes[16..bytes.len() - 4];
     let check = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
     if fnv1a32w(index_check_prefix(stride, count), body) != check {
-        return Err("index checksum mismatch".into());
+        return Err(IndexError::ChecksumMismatch);
     }
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = Vec::with_capacity(count.min(body.len() / 2));
     let mut pos = 0usize;
     let mut prev = IndexEntry { rank: 0, offset: 0 };
     for i in 0..count {
-        let d_rank = read_uv(body, &mut pos).ok_or("index entry truncated")?;
-        let d_off = read_uv(body, &mut pos).ok_or("index entry truncated")?;
+        let d_rank = read_uv(body, &mut pos).ok_or(IndexError::Truncated)?;
+        let d_off = read_uv(body, &mut pos).ok_or(IndexError::Truncated)?;
         if i > 0 && (d_rank == 0 || d_off == 0) {
-            return Err("index entries not strictly increasing".into());
+            return Err(IndexError::NotIncreasing);
         }
         prev = IndexEntry {
-            rank: prev.rank + d_rank,
-            offset: prev.offset + d_off,
+            rank: prev.rank.checked_add(d_rank).ok_or(IndexError::Overflow)?,
+            offset: prev.offset.checked_add(d_off).ok_or(IndexError::Overflow)?,
         };
         entries.push(prev);
     }
     if pos != body.len() {
-        return Err("index has trailing bytes".into());
+        return Err(IndexError::TrailingBytes);
     }
     Ok(FrameIndex { stride, entries })
 }
@@ -329,6 +374,44 @@ mod tests {
         }
         assert!(decode_index(&bytes[..bytes.len() - 1]).is_err());
         assert!(decode_index(b"CGIX").is_err());
+    }
+
+    /// A forged sidecar: valid magic, version and stride, a declared
+    /// `count` with checksum to match, and `body` as the entries.
+    fn forged(count: u32, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(INDEX_MAGIC);
+        out.extend_from_slice(&INDEX_VERSION.to_le_bytes());
+        out.extend_from_slice(&INDEX_STRIDE.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(body);
+        let check = fnv1a32w(index_check_prefix(INDEX_STRIDE, count as usize), body);
+        out.extend_from_slice(&check.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn forged_count_is_a_typed_error_not_an_abort() {
+        // The 22-byte sidecar that once asked for a 64 GiB allocation:
+        // `count = u32::MAX` over a two-byte body, checksum forged.
+        let bytes = forged(u32::MAX, &[1, 1]);
+        assert_eq!(bytes.len(), 22);
+        assert_eq!(decode_index(&bytes), Err(IndexError::Truncated));
+    }
+
+    #[test]
+    fn overflowing_deltas_are_a_typed_error() {
+        let mut body = Vec::new();
+        for delta in [u64::MAX, 1, 1, 1] {
+            write_uv(&mut body, delta);
+        }
+        // rank: u64::MAX + 1 overflows on the second entry.
+        assert_eq!(decode_index(&forged(2, &body)), Err(IndexError::Overflow));
+        let mut body = Vec::new();
+        for delta in [1, u64::MAX, 1, 1] {
+            write_uv(&mut body, delta);
+        }
+        assert_eq!(decode_index(&forged(2, &body)), Err(IndexError::Overflow));
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::StoreError;
 use cg_browser::{SinkWorker, VisitConfig, VisitOutcome, VisitSink};
 use cg_instrument::VisitLog;
 use cg_webgen::WebGenerator;
-use serde::Serialize as _;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -342,10 +341,10 @@ impl SegmentWriter {
                 self.buf.push(b'\n');
             }
             SegmentFormat::Binary => {
-                // Straight from the content tree to tagged bytes — no
-                // JSON text is built on the binary write path.
+                // Straight from the borrowed log to tagged bytes — no
+                // JSON text and no content tree on the binary write path.
                 self.scratch.clear();
-                codec::encode_content(&log.to_content(), &mut self.scratch);
+                codec::encode_visit_log(log, &mut self.scratch);
                 // Every STRIDE-th frame lands in the sidecar index, so
                 // chunked readers can cut this segment without a scan.
                 if (self.records + self.pending).is_multiple_of(u64::from(INDEX_STRIDE)) {

@@ -160,6 +160,33 @@ fn corrupt_or_stale_sidecars_are_refused_not_believed() {
 }
 
 #[test]
+fn forged_count_sidecar_costs_a_rescan() {
+    // The 22-byte sidecar that once aborted the process: valid magic,
+    // version and stride, `count = u32::MAX` over a two-byte body, and a
+    // forged (non-cryptographic) checksum to match.
+    let dir = tmp_dir("forged");
+    fill(&dir, SegmentFormat::Binary, 1, 120);
+    let baseline = drain(&dir, 2, ReadBackend::Mmap);
+    let count = u32::MAX;
+    let body = [1u8, 1];
+    let mut forged = Vec::new();
+    forged.extend_from_slice(b"CGIX");
+    forged.extend_from_slice(&1u32.to_le_bytes());
+    forged.extend_from_slice(&INDEX_STRIDE.to_le_bytes());
+    forged.extend_from_slice(&count.to_le_bytes());
+    forged.extend_from_slice(&body);
+    let prefix = (u64::from(INDEX_STRIDE) << 32) | u64::from(count);
+    forged.extend_from_slice(&cg_hash::fnv1a32w(prefix, &body).to_le_bytes());
+    assert_eq!(forged.len(), 22);
+    assert!(decode_index(&forged).is_err());
+    std::fs::write(dir.join("seg-0.idx"), &forged).unwrap();
+    for backend in BACKENDS {
+        assert_eq!(drain(&dir, 2, backend), baseline, "{backend}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn torn_tail_and_watermark_rules_hold_on_every_backend() {
     let dir = tmp_dir("torn");
     fill(&dir, SegmentFormat::Binary, 1, 80);

@@ -110,18 +110,20 @@ fn parse_ipv4(raw: &str) -> Option<[u8; 4]> {
 /// Host-suffix matching per RFC 6265 §5.1.3 ("domain-matching"): `host`
 /// domain-matches `domain` when they are identical or `host` ends with
 /// `.domain` and `host` is a registered name.
+/// ASCII case-insensitive, without allocating: it runs once per stored
+/// domain cookie on every cookie read.
 pub fn domain_match(host: &str, domain: &str) -> bool {
-    let host = host.to_ascii_lowercase();
-    let domain = domain.trim_start_matches('.').to_ascii_lowercase();
-    if host == domain {
+    let domain = domain.trim_start_matches('.');
+    if host.eq_ignore_ascii_case(domain) {
         return true;
     }
-    if parse_ipv4(&host).is_some() {
+    if parse_ipv4(host).is_some() {
         return false;
     }
+    let (host, domain) = (host.as_bytes(), domain.as_bytes());
     host.len() > domain.len()
-        && host.ends_with(&domain)
-        && host.as_bytes()[host.len() - domain.len() - 1] == b'.'
+        && host[host.len() - domain.len()..].eq_ignore_ascii_case(domain)
+        && host[host.len() - domain.len() - 1] == b'.'
 }
 
 #[cfg(test)]

@@ -25,13 +25,18 @@
 //! `guard = None`.
 //!
 //! The jar's host → shard resolution is pinned once per `GuardedJar`
-//! (the document URL is fixed for its lifetime), and [`GuardedJar::run_batch`]
-//! additionally reuses one [`AccessContext`] and a cached post-filter
-//! view across a burst of operations — the hot crawl path.
+//! (the document URL is fixed for its lifetime). Reads and write
+//! classification run on the jar's *borrowed* document view
+//! ([`CookieJar::document_view_pinned`]): a read clones only the
+//! `(name, value)` pairs its event owns and writes the `document.cookie`
+//! string straight into one buffer, and a write finds its prior cookie
+//! in one pass without building the view at all.
 
 use crate::guard::GuardSession;
 use crate::policy::{AccessDecision, Caller};
-use cg_cookiejar::{Cookie, CookieChange, CookieJar, SetCookieError, ShardPin};
+use cg_cookiejar::{
+    join_pairs, serialization_order, Cookie, CookieChange, CookieJar, SetCookieError, ShardPin,
+};
 use cg_http::parse_set_cookie;
 use cg_instrument::{AttrChangeFlags, CookieApi, EventSink, ReadEvent, SetEvent, WriteKind};
 use cg_url::{DomainId, Url};
@@ -70,34 +75,6 @@ impl AccessContext {
     /// The actor's domain name (normalized form), when attributed.
     fn actor_name(&self) -> Option<String> {
         self.actor.map(|id| cg_url::name(id).to_string())
-    }
-}
-
-/// The post-guard view of the jar one read produced.
-#[derive(Debug, Clone)]
-pub struct CookieView {
-    /// The cookies the caller may see, in serialization order.
-    pub cookies: Vec<Cookie>,
-    /// How many additional cookies the guard withheld.
-    pub filtered: usize,
-}
-
-impl CookieView {
-    /// The `document.cookie` string form: `"a=1; b=2"`.
-    pub fn serialize(&self) -> String {
-        self.cookies
-            .iter()
-            .map(Cookie::pair)
-            .collect::<Vec<_>>()
-            .join("; ")
-    }
-
-    /// The `(name, value)` pairs (the CookieStore `getAll` shape).
-    pub fn pairs(&self) -> Vec<(String, String)> {
-        self.cookies
-            .iter()
-            .map(|c| (c.name.clone(), c.value.clone()))
-            .collect()
     }
 }
 
@@ -196,8 +173,8 @@ pub enum BatchOp<'r> {
 /// The result of one [`BatchOp`], in op order.
 #[derive(Debug, Clone)]
 pub enum BatchResult {
-    /// Result of [`BatchOp::Read`].
-    Read(CookieView),
+    /// Result of [`BatchOp::Read`]: the visible `(name, value)` pairs.
+    Read(Vec<(String, String)>),
     /// Result of [`BatchOp::Get`].
     Get(Option<String>),
     /// Result of [`BatchOp::Set`] / [`BatchOp::Delete`].
@@ -256,56 +233,83 @@ impl<'v> GuardedJar<'v> {
     // Reads
     // ------------------------------------------------------------------
 
-    /// A full post-guard read of the document's cookies, logged as one
-    /// read event on `api`.
-    pub fn read(&mut self, ctx: &AccessContext, api: CookieApi) -> CookieView {
-        let (cookies, filtered) = self.visible(ctx);
-        self.finish_read(ctx, api, cookies, filtered)
+    /// The `document.cookie` getter: the post-guard view serialized as
+    /// `"a=1; b=2"`, logged as one `DocumentCookie` read.
+    pub fn document_cookie(&mut self, ctx: &AccessContext) -> String {
+        self.read(ctx, CookieApi::DocumentCookie, |view| join_pairs(view))
+    }
+
+    /// `cookieStore.getAll()`: the post-guard `(name, value)` pairs,
+    /// logged as one `CookieStore` read.
+    pub fn get_all(&mut self, ctx: &AccessContext) -> Vec<(String, String)> {
+        self.read(ctx, CookieApi::CookieStore, owned_pairs)
     }
 
     /// `cookieStore.get(name)`: the value, if present and visible.
     /// Logged as a CookieStore read of at most one pair.
     pub fn get(&mut self, ctx: &AccessContext, name: &str) -> Option<String> {
-        let (visible, filtered) = self.visible(ctx);
-        self.finish_get(ctx, name, &visible, filtered)
+        let (view, filtered) = visible(
+            self.jar,
+            &self.pin,
+            &self.url,
+            self.guard.as_deref_mut(),
+            ctx,
+        );
+        let found = view
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value.clone());
+        self.finish_get(ctx, name, found, filtered)
     }
 
-    /// Emits the read event for a post-filter view and wraps it up —
-    /// the one place the full-read event is constructed (per-op and
-    /// batch paths both end here).
-    fn finish_read(
+    /// A full post-guard read on `api`: renders the caller's result from
+    /// the borrowed view and logs the read event, whose pairs are the
+    /// only cookie data copied.
+    fn read<R>(
         &mut self,
         ctx: &AccessContext,
         api: CookieApi,
-        cookies: Vec<Cookie>,
+        render: impl FnOnce(&[&Cookie]) -> R,
+    ) -> R {
+        let (view, filtered) = visible(
+            self.jar,
+            &self.pin,
+            &self.url,
+            self.guard.as_deref_mut(),
+            ctx,
+        );
+        let result = render(&view);
+        self.log_read(ctx, api, owned_pairs(&view), filtered);
+        result
+    }
+
+    /// Emits one full-read event — the one place it is constructed (the
+    /// per-op and batch paths both end here).
+    fn log_read(
+        &mut self,
+        ctx: &AccessContext,
+        api: CookieApi,
+        cookies: Vec<(String, String)>,
         filtered: usize,
-    ) -> CookieView {
+    ) {
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api,
-            cookies: cookies
-                .iter()
-                .map(|c| (c.name.clone(), c.value.clone()))
-                .collect(),
+            cookies,
             filtered_count: filtered,
             time_ms: ctx.time_ms,
         });
-        CookieView { cookies, filtered }
     }
 
-    /// Single-name counterpart of [`GuardedJar::finish_read`]: logs at
-    /// most one pair and at most one withheld cookie.
+    /// Single-name counterpart of [`GuardedJar::log_read`]: logs at most
+    /// one pair and at most one withheld cookie, and hands `found` back.
     fn finish_get(
         &mut self,
         ctx: &AccessContext,
         name: &str,
-        visible: &[Cookie],
+        found: Option<String>,
         filtered: usize,
     ) -> Option<String> {
-        let found = visible
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value.clone());
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api: CookieApi::CookieStore,
@@ -355,12 +359,15 @@ impl<'v> GuardedJar<'v> {
 
         // Classify the write like the measurement does: a write whose
         // expiry is already in the past is a deletion; a write to an
-        // existing name is an overwrite.
+        // existing name is an overwrite. The prior is the same-name
+        // cookie the document view lists first: the first minimum under
+        // the view's order (`min_by` keeps the first of equals, as the
+        // view's stable sort does), found in one pass without the view.
         let prior = self
             .jar
-            .cookies_for_document_pinned(&self.pin, &self.url, now)
-            .into_iter()
-            .find(|c| c.name == sc.name);
+            .document_cookies_pinned(&self.pin, &self.url, now)
+            .filter(|c| c.name == sc.name)
+            .min_by(|a, b| serialization_order(a, b));
         let expires_abs = match (sc.max_age_s, sc.expires_ms) {
             (Some(ma), _) => Some(now + ma * 1000),
             (None, Some(e)) => Some(e),
@@ -377,6 +384,17 @@ impl<'v> GuardedJar<'v> {
         } else {
             WriteKind::Create
         };
+        // Attribute-change taxonomy (§5.5), overwrites only; logged only
+        // if the write is allowed.
+        let changes = prior
+            .filter(|_| kind == WriteKind::Overwrite)
+            .map(|p| AttrChangeFlags {
+                value: p.value != sc.value,
+                expires: p.expires_ms != expires_abs,
+                domain: sc.domain.as_deref().is_some_and(|d| d != p.domain) && !p.host_only
+                    || (p.host_only && sc.domain.is_some()),
+                path: sc.path.as_deref().is_some_and(|pt| pt != p.path),
+            });
 
         // Policy.
         let mut decision = None;
@@ -408,18 +426,6 @@ impl<'v> GuardedJar<'v> {
             }
             decision = Some(d);
         }
-
-        // Attribute-change taxonomy (§5.5), overwrites only.
-        let changes = prior
-            .as_ref()
-            .filter(|_| kind == WriteKind::Overwrite)
-            .map(|p| AttrChangeFlags {
-                value: p.value != sc.value,
-                expires: p.expires_ms != expires_abs,
-                domain: sc.domain.as_deref().is_some_and(|d| d != p.domain) && !p.host_only
-                    || (p.host_only && sc.domain.is_some()),
-                path: sc.path.as_deref().is_some_and(|pt| pt != p.path),
-            });
 
         // Storage.
         let change_mark = self.jar.change_count();
@@ -473,8 +479,7 @@ impl<'v> GuardedJar<'v> {
         let now = ctx.now_ms;
         let prior_exists = self
             .jar
-            .cookies_for_document_pinned(&self.pin, &self.url, now)
-            .iter()
+            .document_cookies_pinned(&self.pin, &self.url, now)
             .any(|c| c.name == name);
         let kind = if prior_exists {
             WriteKind::Overwrite
@@ -667,20 +672,26 @@ impl<'v> GuardedJar<'v> {
     /// Runs a burst of operations under one [`AccessContext`]: the
     /// caller identity is derived once, the shard stays pinned, and
     /// consecutive reads share one post-filter view (invalidated by any
-    /// write). Events, guard stats, and results are identical to
-    /// issuing the ops one by one.
+    /// write), kept as the owned pairs every read event carries anyway.
+    /// Events, guard stats, and jar state are identical to issuing the
+    /// ops one by one.
     pub fn run_batch(&mut self, ctx: &AccessContext, ops: &[BatchOp<'_>]) -> Vec<BatchResult> {
-        let mut cache: Option<(Vec<Cookie>, usize)> = None;
+        let mut cache: Option<(Vec<(String, String)>, usize)> = None;
         ops.iter()
             .map(|op| match op {
                 BatchOp::Read { api } => {
-                    let (cookies, filtered) = self.visible_cached(ctx, &mut cache);
-                    let owned = cookies.to_vec();
-                    BatchResult::Read(self.finish_read(ctx, *api, owned, filtered))
+                    let (pairs, filtered) = self.visible_cached(ctx, &mut cache);
+                    let pairs = pairs.to_vec();
+                    self.log_read(ctx, *api, pairs.clone(), filtered);
+                    BatchResult::Read(pairs)
                 }
                 BatchOp::Get { name } => {
-                    let (visible, filtered) = self.visible_cached(ctx, &mut cache);
-                    BatchResult::Get(self.finish_get(ctx, name, visible, filtered))
+                    let (pairs, filtered) = self.visible_cached(ctx, &mut cache);
+                    let found = pairs
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .map(|(_, v)| v.clone());
+                    BatchResult::Get(self.finish_get(ctx, name, found, filtered))
                 }
                 BatchOp::Set(req) => {
                     cache = None;
@@ -692,6 +703,34 @@ impl<'v> GuardedJar<'v> {
                 }
             })
             .collect()
+    }
+
+    /// Batch-path view: serves repeats from the cache, replaying the
+    /// guard's per-read stats bump so counters match per-op access.
+    fn visible_cached<'c>(
+        &mut self,
+        ctx: &AccessContext,
+        cache: &'c mut Option<(Vec<(String, String)>, usize)>,
+    ) -> (&'c [(String, String)], usize) {
+        match cache {
+            Some((_, filtered)) => {
+                if let Some(g) = self.guard.as_deref_mut() {
+                    g.note_cached_read(*filtered);
+                }
+            }
+            None => {
+                let (view, filtered) = visible(
+                    self.jar,
+                    &self.pin,
+                    &self.url,
+                    self.guard.as_deref_mut(),
+                    ctx,
+                );
+                *cache = Some((owned_pairs(&view), filtered));
+            }
+        }
+        let (pairs, filtered) = cache.as_ref().expect("cache just filled");
+        (pairs.as_slice(), *filtered)
     }
 
     // ------------------------------------------------------------------
@@ -727,42 +766,6 @@ impl<'v> GuardedJar<'v> {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The post-guard visible cookie list and the withheld count.
-    fn visible(&mut self, ctx: &AccessContext) -> (Vec<Cookie>, usize) {
-        let cookies = self
-            .jar
-            .cookies_for_document_pinned(&self.pin, &self.url, ctx.now_ms);
-        match self.guard.as_deref_mut() {
-            Some(g) => {
-                let before = cookies.len();
-                let visible = g.filter_read(&ctx.caller, cookies);
-                let filtered = before - visible.len();
-                (visible, filtered)
-            }
-            None => (cookies, 0),
-        }
-    }
-
-    /// Batch-path `visible`: serves repeats from the cache (borrowed,
-    /// not cloned), replaying the guard's per-read stats bump so
-    /// counters match per-op access.
-    fn visible_cached<'c>(
-        &mut self,
-        ctx: &AccessContext,
-        cache: &'c mut Option<(Vec<Cookie>, usize)>,
-    ) -> (&'c [Cookie], usize) {
-        match cache {
-            Some((_, filtered)) => {
-                if let Some(g) = self.guard.as_deref_mut() {
-                    g.note_cached_read(*filtered);
-                }
-            }
-            None => *cache = Some(self.visible(ctx)),
-        }
-        let (cookies, filtered) = cache.as_ref().expect("cache just filled");
-        (cookies.as_slice(), *filtered)
-    }
-
     /// Builds, emits, and returns one write event.
     #[allow(clippy::too_many_arguments)]
     fn emit_set(
@@ -793,6 +796,36 @@ impl<'v> GuardedJar<'v> {
     }
 }
 
+/// The post-guard view for `ctx` — borrowed from the jar, in
+/// serialization order — and the withheld count. A free function over
+/// the `GuardedJar` fields it needs, so the view can stay borrowed from
+/// the jar while the sink takes the read event.
+fn visible<'j>(
+    jar: &'j CookieJar,
+    pin: &ShardPin,
+    url: &Url,
+    guard: Option<&mut GuardSession>,
+    ctx: &AccessContext,
+) -> (Vec<&'j Cookie>, usize) {
+    let view = jar.document_view_pinned(pin, url, ctx.now_ms);
+    match guard {
+        Some(g) => {
+            let before = view.len();
+            let view = g.filter_read(&ctx.caller, view);
+            let filtered = before - view.len();
+            (view, filtered)
+        }
+        None => (view, 0),
+    }
+}
+
+/// Owned `(name, value)` copies of a view: a read event's payload.
+fn owned_pairs(view: &[&Cookie]) -> Vec<(String, String)> {
+    view.iter()
+        .map(|c| (c.name.clone(), c.value.clone()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,6 +848,17 @@ mod tests {
 
     fn url() -> Url {
         Url::parse("https://www.shop.example/").unwrap()
+    }
+
+    /// `"a=1; b=2"` back into pairs (test names and values hold no `=`).
+    fn split_pairs(text: &str) -> Vec<(String, String)> {
+        text.split("; ")
+            .filter(|p| !p.is_empty())
+            .map(|p| {
+                let (n, v) = p.split_once('=').unwrap();
+                (n.to_string(), v.to_string())
+            })
+            .collect()
     }
 
     fn session() -> GuardSession {
@@ -840,12 +884,9 @@ mod tests {
         );
 
         // The creator reads its cookie back; a stranger sees nothing.
-        let view = access.read(&t, CookieApi::DocumentCookie);
-        assert_eq!(view.serialize(), "_tid=abc");
+        assert_eq!(access.document_cookie(&t), "_tid=abc");
         let s = ctx_for(Some("other.net"), 2_000, 20);
-        let view = access.read(&s, CookieApi::DocumentCookie);
-        assert!(view.cookies.is_empty());
-        assert_eq!(view.filtered, 1);
+        assert_eq!(access.get_all(&s), Vec::new());
 
         // The stranger cannot delete it; the creator can.
         assert!(access.delete(&s, "_tid").blocked());
@@ -856,6 +897,9 @@ mod tests {
         let log = rec.finish();
         assert_eq!(log.sets.len(), 3); // create + blocked delete + delete
         assert_eq!(log.reads.len(), 2);
+        assert_eq!(log.reads[0].cookies, vec![("_tid".into(), "abc".into())]);
+        assert_eq!(log.reads[1].api, CookieApi::CookieStore);
+        assert_eq!(log.reads[1].filtered_count, 1);
         assert!(log.sets[1].blocked);
         assert_eq!(guard.stats().deletes_blocked, 1);
     }
@@ -906,10 +950,7 @@ mod tests {
         assert!(out.applied && out.decision.is_none());
         assert_eq!(out.kind, WriteKind::Overwrite);
         assert!(out.change.is_some());
-        assert_eq!(
-            access.read(&b, CookieApi::DocumentCookie).serialize(),
-            "x=2"
-        );
+        assert_eq!(access.document_cookie(&b), "x=2");
     }
 
     #[test]
@@ -1004,7 +1045,13 @@ mod tests {
         let mut single = Vec::new();
         for op in &ops {
             single.push(match op {
-                BatchOp::Read { api } => BatchResult::Read(access.read(&c, *api)),
+                BatchOp::Read { api } => BatchResult::Read(match api {
+                    CookieApi::DocumentCookie => {
+                        let text = access.document_cookie(&c);
+                        split_pairs(&text)
+                    }
+                    _ => access.get_all(&c),
+                }),
                 BatchOp::Get { name } => BatchResult::Get(access.get(&c, name)),
                 BatchOp::Set(req) => BatchResult::Mutation(access.set(&c, *req)),
                 BatchOp::Delete { name } => BatchResult::Mutation(access.delete(&c, name)),
@@ -1020,10 +1067,7 @@ mod tests {
         assert_eq!(batched.len(), single.len());
         for (a, b) in batched.iter().zip(&single) {
             match (a, b) {
-                (BatchResult::Read(x), BatchResult::Read(y)) => {
-                    assert_eq!(x.serialize(), y.serialize());
-                    assert_eq!(x.filtered, y.filtered);
-                }
+                (BatchResult::Read(x), BatchResult::Read(y)) => assert_eq!(x, y),
                 (BatchResult::Get(x), BatchResult::Get(y)) => assert_eq!(x, y),
                 (BatchResult::Mutation(x), BatchResult::Mutation(y)) => {
                     assert_eq!(x.applied, y.applied);

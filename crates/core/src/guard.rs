@@ -18,6 +18,7 @@ use crate::policy::{AccessDecision, Caller};
 use cg_cookiejar::Cookie;
 use cg_url::DomainId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Counters for everything the guard blocked or allowed — the raw
@@ -178,21 +179,23 @@ impl GuardSession {
     }
 
     /// Filters a `document.cookie` / `cookieStore.getAll` result for
-    /// `caller`: only cookies whose recorded creator the caller may
-    /// access are returned.
-    pub fn filter_read(&mut self, caller: &Caller, cookies: Vec<Cookie>) -> Vec<Cookie> {
+    /// `caller`, in place: only cookies whose recorded creator the
+    /// caller may access are kept, in order. Takes owned cookies or the
+    /// jar's borrowed view (`Vec<&Cookie>`) alike.
+    pub fn filter_read<C: Borrow<Cookie>>(
+        &mut self,
+        caller: &Caller,
+        mut cookies: Vec<C>,
+    ) -> Vec<C> {
         let before = cookies.len();
-        let visible: Vec<Cookie> = cookies
-            .into_iter()
-            .filter(|c| self.may_access(caller, &c.name))
-            .collect();
-        if visible.len() < before {
+        cookies.retain(|c| self.may_access(caller, &c.borrow().name));
+        if cookies.len() < before {
             self.stats.reads_filtered += 1;
-            self.stats.cookies_filtered += (before - visible.len()) as u64;
+            self.stats.cookies_filtered += (before - cookies.len()) as u64;
         } else {
             self.stats.reads_clean += 1;
         }
-        visible
+        cookies
     }
 
     /// Accounts for a read served from a still-valid cached post-filter
@@ -363,7 +366,7 @@ impl CookieGuard {
     }
 
     /// See [`GuardSession::filter_read`].
-    pub fn filter_read(&mut self, caller: &Caller, cookies: Vec<Cookie>) -> Vec<Cookie> {
+    pub fn filter_read<C: Borrow<Cookie>>(&mut self, caller: &Caller, cookies: Vec<C>) -> Vec<C> {
         self.session.filter_read(caller, cookies)
     }
 

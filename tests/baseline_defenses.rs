@@ -119,6 +119,38 @@ fn blocklist_evasion_arms_race() {
 }
 
 #[test]
+fn blocklist_evasion_row_serializes_identically_across_runs() {
+    // Every generated blueprint iterates its injectable-script map in its
+    // own hash order; evasion must not let that order pick which URLs
+    // draw which rewrite. Per site first (the sensitive check), then
+    // the published matrix row.
+    let gen = generator(240);
+    let blocker = BlocklistDefense::from_registry(gen.registry());
+    let evasion = EvasionConfig::default();
+    let per_site = || -> String {
+        let stats: Vec<_> = (1..=240)
+            .map(|rank| apply_evasion(&gen.blueprint(rank), &blocker, &evasion).1)
+            .collect();
+        serde_json::to_string(&stats).unwrap()
+    };
+    assert_eq!(per_site(), per_site());
+
+    let opts = MatrixOptions {
+        eval_ranks: 1..=140,
+        entities: builtin_entity_map(),
+    };
+    let row = || -> String {
+        let rows = run_defense_matrix(
+            &gen,
+            &[Defense::BlocklistUnderEvasion(evasion.clone())],
+            &opts,
+        );
+        serde_json::to_string(&rows).unwrap()
+    };
+    assert_eq!(row(), row());
+}
+
+#[test]
 fn rotated_domains_do_not_evade_the_guard() {
     // The decisive mechanism check behind the matrix: take a site,
     // apply domain rotation (which defeats the blocklist), and verify
