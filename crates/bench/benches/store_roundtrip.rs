@@ -1,11 +1,9 @@
 //! Crawl-store throughput: appending a 1k-visit crawl across four
 //! segments (fsync'd batches + manifest checkpoints) and streaming it
-//! back through the rank-ordered k-way merge — once per segment format.
-//! The JSONL-vs-binary scan pair is the microbenchmark behind the
-//! repo-root `BENCH_crawlstore.json` replay-speedup number.
+//! back through the rank-ordered k-way merge.
 
 use cg_browser::{crawl_range, VisitConfig};
-use cg_crawlstore::{CrawlReader, CrawlWriter, Fingerprint, SegmentFormat, SegmentWriter};
+use cg_crawlstore::{CrawlReader, CrawlWriter, Fingerprint, SegmentWriter};
 use cg_instrument::VisitLog;
 use cg_webgen::{GenConfig, WebGenerator};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -33,7 +31,7 @@ fn visit_logs() -> Vec<VisitLog> {
     logs
 }
 
-fn fingerprint(format: SegmentFormat) -> Fingerprint {
+fn fingerprint() -> Fingerprint {
     Fingerprint::new(
         0xBE_AC,
         1,
@@ -41,11 +39,10 @@ fn fingerprint(format: SegmentFormat) -> Fingerprint {
         &VisitConfig::regular(),
         &GenConfig::small(250),
     )
-    .with_format(format)
 }
 
-fn fill(dir: &std::path::Path, logs: &[VisitLog], format: SegmentFormat) {
-    let store = CrawlWriter::open(dir, fingerprint(format)).expect("open store");
+fn fill(dir: &std::path::Path, logs: &[VisitLog]) {
+    let store = CrawlWriter::open(dir, fingerprint()).expect("open store");
     let mut segs: Vec<SegmentWriter> = (0..SEGMENTS)
         .map(|_| store.segment().expect("segment"))
         .collect();
@@ -65,32 +62,30 @@ fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_roundtrip");
     group.sample_size(10);
 
-    for format in [SegmentFormat::Jsonl, SegmentFormat::Binary] {
-        let append_dir = root.join(format!("append-{format}"));
-        group.bench_function(format!("append_1k_{format}"), |b| {
-            b.iter(|| {
-                let _ = std::fs::remove_dir_all(&append_dir);
-                fill(&append_dir, &logs, format);
-            })
-        });
+    let append_dir = root.join("append");
+    group.bench_function("append_1k_binary", |b| {
+        b.iter(|| {
+            let _ = std::fs::remove_dir_all(&append_dir);
+            fill(&append_dir, &logs);
+        })
+    });
 
-        let scan_dir = root.join(format!("scan-{format}"));
-        fill(&scan_dir, &logs, format);
-        group.bench_function(format!("merge_scan_1k_{format}"), |b| {
-            b.iter(|| {
-                let reader = CrawlReader::open(&scan_dir).expect("open reader");
-                let mut records = 0usize;
-                let mut last_rank = 0usize;
-                for log in reader {
-                    let log = log.expect("log");
-                    assert!(log.rank > last_rank, "merge must be rank-ordered");
-                    last_rank = log.rank;
-                    records += 1;
-                }
-                black_box(records)
-            })
-        });
-    }
+    let scan_dir = root.join("scan");
+    fill(&scan_dir, &logs);
+    group.bench_function("merge_scan_1k_binary", |b| {
+        b.iter(|| {
+            let reader = CrawlReader::open(&scan_dir).expect("open reader");
+            let mut records = 0usize;
+            let mut last_rank = 0usize;
+            for log in reader {
+                let log = log.expect("log");
+                assert!(log.rank > last_rank, "merge must be rank-ordered");
+                last_rank = log.rank;
+                records += 1;
+            }
+            black_box(records)
+        })
+    });
     group.finish();
 
     let _ = std::fs::remove_dir_all(&root);

@@ -204,7 +204,7 @@ impl Dataset {
     }
 
     /// Merges two datasets built from **disjoint rank ranges** (e.g.
-    /// per-segment partials from `cg_crawlstore::par_fold`) into one,
+    /// per-chunk partials from `cg_crawlstore::par_fold_with`) into one,
     /// interleaving their logs back into global rank order. Associative,
     /// with [`Dataset::empty`] as identity, so partials may combine in
     /// any grouping; equal ranks (which disjoint partials never produce)
@@ -238,10 +238,10 @@ impl Dataset {
     }
 
     /// Builds a (retained) dataset from the crawl store at `dir`, using
-    /// up to `threads` parallel per-segment folds merged back into rank
+    /// up to `threads` parallel chunked folds merged back into rank
     /// order. Byte-identical to [`Dataset::from_reader`] over a
-    /// `CrawlReader` of the same store, at any thread count — segments
-    /// hold disjoint rank sets and partials merge in fixed order.
+    /// `CrawlReader` of the same store, at any thread count — chunks
+    /// hold disjoint rank ranges and partials merge in fixed order.
     pub fn from_store(
         dir: impl AsRef<std::path::Path>,
         threads: usize,
@@ -249,12 +249,12 @@ impl Dataset {
         Dataset::from_store_with(dir, threads, cg_crawlstore::ReadBackend::default())
     }
 
-    /// [`Dataset::from_store`] with an explicit
+    /// [`Dataset::from_store`] naming the
     /// [`ReadBackend`](cg_crawlstore::ReadBackend): partials are folded
-    /// per *chunk* (frame-index boundaries inside binary segments) and
+    /// per *chunk* (frame-index boundaries inside segments) and
     /// rank-interleaved back by [`Dataset::merge`] — chunks hold
     /// disjoint rank ranges, so the merged dataset is byte-identical at
-    /// any thread count and through any backend.
+    /// any thread count.
     pub fn from_store_with(
         dir: impl AsRef<std::path::Path>,
         threads: usize,

@@ -18,10 +18,10 @@
 //!
 //! `StreamStats` is a commutative monoid ([`StreamStats::merge`] is
 //! associative, [`StreamStats::default`] is the identity), which is
-//! what makes parallel per-segment folds sound: fold each store
-//! segment on its own worker, then merge the partials in fixed segment
+//! what makes parallel chunked folds sound: fold each store chunk on
+//! whichever worker claims it, then merge the partials in fixed chunk
 //! order — byte-identical serialized output at any thread count
-//! (`cg_crawlstore::par_fold` supplies the orchestration).
+//! (`cg_crawlstore::par_fold_with` supplies the orchestration).
 
 use crate::dataset::reconstruct;
 use crate::sketch::DistinctSketch;
@@ -158,9 +158,9 @@ impl StreamStats {
     }
 
     /// Absorbs another partial. Associative and commutative (sums and
-    /// order-independent sketch unions), so per-segment partials can
-    /// merge in any grouping — `par_fold` still merges in fixed segment
-    /// order for a fully deterministic pipeline.
+    /// order-independent sketch unions), so per-chunk partials can
+    /// merge in any grouping — `par_fold_with` still returns them in
+    /// fixed chunk order for a fully deterministic pipeline.
     pub fn merge(mut self, other: StreamStats) -> StreamStats {
         self.crawled += other.crawled;
         self.complete += other.complete;
@@ -187,7 +187,7 @@ impl StreamStats {
     }
 
     /// Folds a fallible stream of visit logs (e.g. a
-    /// `cg_crawlstore::CrawlReader` or one `SegmentStream`).
+    /// `cg_crawlstore::CrawlReader` or one `ChunkStream`).
     pub fn from_reader<E>(
         logs: impl IntoIterator<Item = Result<VisitLog, E>>,
     ) -> Result<StreamStats, E> {
@@ -199,17 +199,17 @@ impl StreamStats {
     }
 
     /// Streams the store at `dir` into aggregates using up to `threads`
-    /// parallel per-segment folds. Byte-identical serialized output at
-    /// any thread count, with peak memory independent of crawl size.
+    /// parallel chunked folds over zero-copy mmap'd windows.
+    /// Byte-identical serialized output at any thread count, with peak
+    /// memory independent of crawl size.
     pub fn from_store(dir: impl AsRef<Path>, threads: usize) -> Result<StreamStats, StoreError> {
         StreamStats::from_store_with(dir, threads, ReadBackend::default())
     }
 
-    /// [`StreamStats::from_store`] with an explicit [`ReadBackend`]:
-    /// folds the store chunk-granular (frame-index boundaries inside
-    /// binary segments), so even a single-segment store parallelizes,
-    /// through mmap'd windows, positioned reads, or buffered streams.
-    /// All backends and thread counts serialize byte-identically.
+    /// [`StreamStats::from_store`] naming the [`ReadBackend`]. Folds are
+    /// chunk-granular (frame-index boundaries inside segments), so even
+    /// a single-segment store parallelizes; every thread count
+    /// serializes byte-identically.
     pub fn from_store_with(
         dir: impl AsRef<Path>,
         threads: usize,

@@ -1,83 +1,57 @@
-//! Chunked segment reads: split each binary segment at frame-index
-//! boundaries into independently decodable byte ranges, decoded through
-//! a caller-chosen [`ReadBackend`].
+//! Chunked segment reads: split each segment at frame-index boundaries
+//! into independently decodable byte ranges, decoded from one
+//! in-memory window per chunk.
 //!
-//! The store's parallelism used to be segment-granular — a store
-//! written by few workers left fold threads idle. A [`ChunkPlan`]
-//! instead cuts every segment at its sidecar-index stride boundaries
-//! (rebuilt by a header scan when the sidecar is missing or refused),
-//! producing tens to thousands of [`ChunkSpec`]s that work-stealing
-//! folds claim one at a time. Chunk boundaries carry the planned first
-//! rank and an inclusive rank bound, so a decode that drifts across a
-//! boundary (a stale plan, a damaged file) is an error — never a
-//! silently wrong result.
+//! A [`ChunkPlan`] cuts every segment at its sidecar-index stride
+//! boundaries (rebuilt by a header scan when the sidecar is missing or
+//! refused), producing tens to thousands of [`ChunkSpec`]s that
+//! work-stealing folds claim one at a time. Chunk boundaries carry the
+//! planned first rank and an inclusive rank bound, so a decode that
+//! drifts across a boundary (a stale plan, a damaged file) is an error
+//! — never a silently wrong result.
 //!
-//! Three backends decode the same bytes: `Mmap` (zero-copy windows over
-//! the page cache via [`Mmap`], falling back to `Pread` whenever a map
-//! fails), `Pread` (one positioned read per chunk into an owned
-//! buffer), and `Buffered` (a seeked `BufReader`, the portable
-//! baseline). All three verify every frame checksum and the rank-sorted
-//! run invariant, and stop at the planned chunk end — which the planner
-//! derives from the manifest watermark, so bytes past the durable
-//! prefix are never part of any decode window.
+//! Each chunk is decoded from one window — a zero-copy `mmap(2)` view
+//! ([`Mmap`]), or one positioned read wherever mapping fails — by the
+//! store's only frame decoder, shared by
+//! [`par_fold_with`](crate::par_fold_with) and
+//! [`CrawlReader`](crate::CrawlReader). It verifies every checksum and
+//! the rank-sorted run invariant, and stops at the planned chunk end,
+//! which the planner derives from the manifest watermark and checks
+//! against the file's length: no window holds bytes past the durable
+//! prefix or reaches past the end of its file.
 //!
-//! **Layer:** persistence (between the segment files and
-//! [`par_fold_with`](crate::par_fold_with)). **Invariants:** chunks
-//! partition each segment's durable byte range exactly; each chunk's
-//! frames are rank-ascending, start at the planned first rank, and stay
-//! within the planned bound; all backends yield byte-identical
+//! **Layer:** persistence (between the segment files and the fold and
+//! merge readers). **Invariants:** chunks partition each segment's
+//! durable byte range exactly; each chunk's frames are rank-ascending,
+//! start at the planned first rank, and stay within the planned bound;
+//! the mapped and positioned-read windows yield byte-identical
 //! [`VisitLog`] streams or fail. **Entry points:** [`plan_chunks`],
-//! [`ChunkPlan::open_chunk`], [`ReadBackend`].
+//! [`ChunkPlan::open_chunk`], [`ChunkStream`].
 
-use crate::codec::{self, SegmentFormat, FRAME_HEADER};
+use crate::codec::{self, FRAME_HEADER};
 use crate::index::{self, INDEX_STRIDE};
-use crate::manifest::Manifest;
+use crate::manifest::{Fingerprint, Manifest};
 use crate::mmap::Mmap;
 use crate::pread::pread_exact;
-use crate::reader::SegmentStream;
 use crate::StoreError;
 use cg_instrument::VisitLog;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::ops::Range;
+use std::path::Path;
 
 /// How chunk bytes reach the decoder.
+// The hidden variant is a test hook, not a non-exhaustiveness marker.
+#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadBackend {
-    /// Zero-copy `mmap(2)` windows (the default); any map failure
-    /// falls back to `Pread` for that chunk.
+    /// Zero-copy `mmap(2)` windows; any map failure falls back to one
+    /// positioned read for that chunk.
     #[default]
     Mmap,
-    /// One positioned read per chunk into an owned buffer.
+    /// The positioned-read fallback, forced for every chunk — a test
+    /// hook that pins the fallback against the mapped path.
+    #[doc(hidden)]
     Pread,
-    /// A seeked `BufReader` streaming frame by frame — the portable
-    /// baseline.
-    Buffered,
-}
-
-impl std::fmt::Display for ReadBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReadBackend::Mmap => "mmap",
-            ReadBackend::Pread => "pread",
-            ReadBackend::Buffered => "buffered",
-        })
-    }
-}
-
-impl std::str::FromStr for ReadBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ReadBackend, String> {
-        match s {
-            "mmap" => Ok(ReadBackend::Mmap),
-            "pread" => Ok(ReadBackend::Pread),
-            "buffered" => Ok(ReadBackend::Buffered),
-            other => Err(format!(
-                "unknown read backend {other:?} (expected mmap, pread, or buffered)"
-            )),
-        }
-    }
 }
 
 /// One independently decodable byte range of one segment.
@@ -85,8 +59,6 @@ impl std::str::FromStr for ReadBackend {
 pub struct ChunkSpec {
     /// Manifest index of the owning segment.
     pub segment: usize,
-    /// Chunk ordinal within the segment.
-    pub chunk: usize,
     /// Segment file name (relative to the store directory).
     pub file: String,
     /// First byte of the chunk (a frame-header offset).
@@ -102,20 +74,21 @@ pub struct ChunkSpec {
     pub rank_bound: u64,
 }
 
-/// The chunk decomposition of a binary store: every segment cut at its
-/// index stride boundaries, plus one shared read-only handle per
-/// segment for the positioned/mapped backends.
+/// The chunk decomposition of a store: every segment cut at its index
+/// stride boundaries, plus one shared read-only handle per segment.
 pub struct ChunkPlan {
-    dir: PathBuf,
+    /// The crawl the store belongs to.
+    pub(crate) fingerprint: Fingerprint,
     files: Vec<File>,
     chunks: Vec<ChunkSpec>,
 }
 
-/// Builds the chunk plan for the **binary** store at `dir`, loading
-/// each segment's validated sidecar index or rebuilding it with a
-/// header scan. Refuses JSONL stores (line-oriented segments have no
-/// frame offsets); [`par_fold_with`](crate::par_fold_with) treats a
-/// JSONL segment as a single chunk instead.
+/// Builds the chunk plan for the store at `dir`, loading each
+/// segment's validated sidecar index or rebuilding it with a header
+/// scan. A directory without a manifest, a retired-format store (see
+/// [`Manifest::load`]) and a segment whose file is shorter than its
+/// manifest watermark promises are refused here, before any byte is
+/// mapped or any buffer is sized from a header.
 pub fn plan_chunks(dir: impl AsRef<Path>) -> Result<ChunkPlan, StoreError> {
     let dir = dir.as_ref();
     let _span = cg_telemetry::span!("chunk_plan");
@@ -123,15 +96,6 @@ pub fn plan_chunks(dir: impl AsRef<Path>) -> Result<ChunkPlan, StoreError> {
         file: crate::MANIFEST_FILE.to_string(),
         detail: format!("no manifest in {}", dir.display()),
     })?;
-    if manifest.fingerprint.format != SegmentFormat::Binary {
-        return Err(StoreError::Corrupt {
-            file: crate::MANIFEST_FILE.to_string(),
-            detail: format!(
-                "chunked reads require a binary store, found {}",
-                manifest.fingerprint.format
-            ),
-        });
-    }
     let mut files = Vec::with_capacity(manifest.segments.len());
     let mut chunks = Vec::new();
     for (si, meta) in manifest.segments.iter().enumerate() {
@@ -149,12 +113,32 @@ pub fn plan_chunks(dir: impl AsRef<Path>) -> Result<ChunkPlan, StoreError> {
                 // segment itself — slower, never wrong.
                 None => index::scan_index(&file, &meta.file, meta.synced_records, INDEX_STRIDE)?,
             };
+            let corrupt = |detail: String| StoreError::Corrupt {
+                file: meta.file.clone(),
+                detail,
+            };
+            // Frame headers vouch for where the last frame ends, not for
+            // its bytes being there: a window past EOF would fault on
+            // first touch. One fstat settles it.
+            let len = file.metadata()?.len();
+            if end > len {
+                return Err(corrupt(format!(
+                    "segment ends {} bytes short of its manifest watermark \
+                     ({} records end at byte {end}, the file has {len})",
+                    end - len,
+                    meta.synced_records
+                )));
+            }
+            if idx.entries.windows(2).any(|w| w[1].rank <= w[0].rank) {
+                return Err(corrupt(
+                    "segment not rank-sorted at a chunk boundary".into(),
+                ));
+            }
             let stride = u64::from(idx.stride);
             for (ci, entry) in idx.entries.iter().enumerate() {
                 let next = idx.entries.get(ci + 1);
                 chunks.push(ChunkSpec {
                     segment: si,
-                    chunk: ci,
                     file: meta.file.clone(),
                     start: entry.offset,
                     end: next.map_or(end, |n| n.offset),
@@ -167,7 +151,7 @@ pub fn plan_chunks(dir: impl AsRef<Path>) -> Result<ChunkPlan, StoreError> {
         files.push(file);
     }
     Ok(ChunkPlan {
-        dir: dir.to_path_buf(),
+        fingerprint: manifest.fingerprint,
         files,
         chunks,
     })
@@ -203,49 +187,37 @@ impl ChunkPlan {
         tele.chunks_claimed.incr();
         let len = (spec.end - spec.start) as usize;
         let file = &self.files[spec.segment];
-        let src = match backend {
+        let window = match backend {
             ReadBackend::Mmap => {
                 let _span = cg_telemetry::span!("chunk_map", len);
                 match Mmap::map_range(file, spec.start, len) {
                     Ok(map) => {
                         tele.mmap_bytes.add(len as u64);
-                        Src::Mapped(map)
+                        Window::Mapped(map)
                     }
-                    Err(_) => Src::Owned(read_chunk(file, spec, len)?),
+                    Err(_) => Window::Owned(read_chunk(file, spec, len)?),
                 }
             }
-            ReadBackend::Pread => Src::Owned(read_chunk(file, spec, len)?),
-            ReadBackend::Buffered => {
-                let mut f =
-                    File::open(self.dir.join(&spec.file)).map_err(|e| StoreError::Corrupt {
-                        file: spec.file.clone(),
-                        detail: format!("manifest lists segment but it cannot be opened: {e}"),
-                    })?;
-                f.seek(SeekFrom::Start(spec.start))?;
-                Src::Streamed {
-                    reader: BufReader::new(f),
-                    buf: Vec::new(),
-                    consumed: 0,
-                }
-            }
+            ReadBackend::Pread => Window::Owned(read_chunk(file, spec, len)?),
         };
         Ok(ChunkStream {
             file_name: spec.file.clone(),
             frames: spec.frames,
             first_rank: spec.first_rank,
             rank_bound: spec.rank_bound,
-            chunk_len: len,
             done: 0,
             pos: 0,
             last_rank: None,
             failed: false,
             _span: cg_telemetry::span!("chunk_decode", spec.frames),
-            src,
+            window,
         })
     }
 }
 
-/// One positioned read covering the whole chunk.
+/// One positioned read covering the whole chunk. The planner checked
+/// the chunk lies inside the file, so `len` is bounded by the file's
+/// size, never by a header alone.
 fn read_chunk(file: &File, spec: &ChunkSpec, len: usize) -> Result<Vec<u8>, StoreError> {
     let mut bytes = vec![0u8; len];
     if !pread_exact(file, &mut bytes, spec.start)? {
@@ -258,21 +230,21 @@ fn read_chunk(file: &File, spec: &ChunkSpec, len: usize) -> Result<Vec<u8>, Stor
     Ok(bytes)
 }
 
-enum Src {
-    /// Zero-copy window over the page cache.
+/// The bytes of one chunk.
+enum Window {
+    /// Zero-copy view of the page cache.
     Mapped(Mmap),
-    /// Whole chunk in an owned buffer (pread backend, or mmap
-    /// fallback).
+    /// Positioned-read copy (the mmap fallback).
     Owned(Vec<u8>),
-    /// Frame-by-frame buffered reads.
-    Streamed {
-        reader: BufReader<File>,
-        buf: Vec<u8>,
-        consumed: usize,
-    },
-    /// A whole JSONL segment wrapped as one chunk (see
-    /// [`ChunkStream::from_segment`]).
-    Segment(SegmentStream),
+}
+
+impl Window {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Window::Mapped(map) => map.bytes(),
+            Window::Owned(bytes) => bytes,
+        }
+    }
 }
 
 /// Decodes one chunk's frames to [`VisitLog`]s, verifying checksums,
@@ -283,80 +255,106 @@ pub struct ChunkStream {
     frames: u64,
     first_rank: u64,
     rank_bound: u64,
-    chunk_len: usize,
     done: u64,
     pos: usize,
     last_rank: Option<u64>,
     failed: bool,
     _span: cg_telemetry::Span,
-    src: Src,
+    window: Window,
 }
 
 impl ChunkStream {
-    /// Wraps one whole JSONL segment stream as a single chunk, so
-    /// [`par_fold_with`](crate::par_fold_with) covers both formats with
-    /// one closure signature. Rank-order and parse checks are the
-    /// stream's own.
-    pub fn from_segment(stream: SegmentStream) -> ChunkStream {
-        crate::telemetry::metrics().chunks_claimed.incr();
-        ChunkStream {
-            file_name: String::new(),
-            frames: 0,
-            first_rank: 0,
-            rank_bound: 0,
-            chunk_len: 0,
-            done: 0,
-            pos: 0,
-            last_rank: None,
-            failed: false,
-            _span: cg_telemetry::span!("chunk_decode"),
-            src: Src::Segment(stream),
-        }
-    }
-
-    fn short(&self) -> StoreError {
+    fn corrupt(&self, detail: String) -> StoreError {
         StoreError::Corrupt {
             file: self.file_name.clone(),
-            detail: format!(
-                "chunk ends {} frames short of its planned byte range",
-                self.frames - self.done
-            ),
+            detail,
         }
     }
 
-    /// Boundary checks shared by every backend: ascending ranks, the
-    /// planned first rank, and the inclusive rank bound. A violation
-    /// means the plan and the bytes disagree — surfaced, never papered
-    /// over.
+    /// Boundary checks: ascending ranks, the planned first rank, and the
+    /// inclusive rank bound. A violation means the plan and the bytes
+    /// disagree — surfaced, never papered over.
     fn check_rank(&mut self, rank: u64) -> Result<(), StoreError> {
         if self.done == 0 && rank != self.first_rank {
-            return Err(StoreError::Corrupt {
-                file: self.file_name.clone(),
-                detail: format!(
-                    "chunk starts at rank {rank}, planned {} — segment and index disagree",
-                    self.first_rank
-                ),
-            });
+            return Err(self.corrupt(format!(
+                "chunk starts at rank {rank}, planned {} — segment and index disagree",
+                self.first_rank
+            )));
         }
         if let Some(prev) = self.last_rank {
             if rank <= prev {
-                return Err(StoreError::Corrupt {
-                    file: self.file_name.clone(),
-                    detail: format!("segment not rank-sorted (rank {rank} after {prev})"),
-                });
+                return Err(self.corrupt(format!(
+                    "segment not rank-sorted (rank {rank} after {prev})"
+                )));
             }
         }
         if rank > self.rank_bound {
-            return Err(StoreError::Corrupt {
-                file: self.file_name.clone(),
-                detail: format!(
-                    "rank {rank} beyond the chunk bound {} — segment and index disagree",
-                    self.rank_bound
-                ),
-            });
+            return Err(self.corrupt(format!(
+                "rank {rank} beyond the chunk bound {} — segment and index disagree",
+                self.rank_bound
+            )));
         }
         self.last_rank = Some(rank);
         Ok(())
+    }
+
+    /// Steps over the next frame of the chunk, verifying its checksum
+    /// and rank, and returns the rank plus the payload's byte range in
+    /// the window ([`ChunkStream::decode`] reads it). `Ok(None)` once
+    /// every planned frame is out, after checking the planned byte range
+    /// was consumed exactly.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(u64, Range<usize>)>, StoreError> {
+        let window = self.window.bytes();
+        if self.done == self.frames {
+            if self.pos != window.len() {
+                return Err(self.corrupt(format!(
+                    "chunk decoded {} of {} planned bytes — segment and index disagree",
+                    self.pos,
+                    window.len()
+                )));
+            }
+            return Ok(None);
+        }
+        let rest = &window[self.pos..];
+        let header = match rest.first_chunk::<FRAME_HEADER>() {
+            Some(h) => codec::parse_header(h),
+            None => return Err(self.short()),
+        };
+        let total = FRAME_HEADER + header.len;
+        if rest.len() < total {
+            return Err(self.short());
+        }
+        let payload = self.pos + FRAME_HEADER..self.pos + total;
+        if codec::frame_check(header.rank, &window[payload.clone()]) != header.check {
+            return Err(
+                self.corrupt("frame checksum mismatch below the manifest watermark".to_string())
+            );
+        }
+        self.check_rank(header.rank)?;
+        self.pos += total;
+        self.done += 1;
+        let tele = crate::telemetry::metrics();
+        tele.records_replayed.incr();
+        tele.bytes_replayed.add(total as u64);
+        Ok(Some((header.rank, payload)))
+    }
+
+    fn short(&self) -> StoreError {
+        self.corrupt(format!(
+            "chunk ends {} frames short of its planned byte range",
+            self.frames - self.done
+        ))
+    }
+
+    /// Runs `decode` over the payload `range` returned by
+    /// [`ChunkStream::next_frame`], naming this chunk's segment in any
+    /// error.
+    pub(crate) fn decode<T>(
+        &self,
+        range: Range<usize>,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<T, StoreError> {
+        decode(&self.window.bytes()[range]).map_err(|e| self.corrupt(e))
     }
 
     /// Decodes the next frame of the chunk; `Ok(None)` once every
@@ -365,134 +363,11 @@ impl ChunkStream {
     /// fuse; callers that want explicit control (e.g. the service
     /// replayer's claim loop) call it directly.
     pub fn next_log(&mut self) -> Result<Option<VisitLog>, StoreError> {
-        if self.done == self.frames {
-            // Exhausted: the planned byte range must be consumed
-            // exactly, or the plan mis-cut the segment.
-            let consumed = match &self.src {
-                Src::Mapped(_) | Src::Owned(_) => self.pos,
-                Src::Streamed { consumed, .. } => *consumed,
-                Src::Segment(_) => unreachable!("segment chunks bypass next_log"),
-            };
-            if consumed != self.chunk_len {
-                return Err(StoreError::Corrupt {
-                    file: self.file_name.clone(),
-                    detail: format!(
-                        "chunk decoded {} of {} planned bytes — segment and index disagree",
-                        consumed, self.chunk_len
-                    ),
-                });
-            }
-            return Ok(None);
+        match self.next_frame()? {
+            Some((_, payload)) => self.decode(payload, codec::decode_visit_log).map(Some),
+            None => Ok(None),
         }
-        let frame = match &mut self.src {
-            Src::Mapped(map) => decode_frame_at(map.bytes(), &mut self.pos, &self.file_name)?,
-            Src::Owned(bytes) => decode_frame_at(bytes, &mut self.pos, &self.file_name)?,
-            Src::Streamed {
-                reader,
-                buf,
-                consumed,
-            } => {
-                let left = self.chunk_len - *consumed;
-                let frame = decode_frame_streamed(reader, buf, left, &self.file_name)?;
-                if let Some((_, _, total)) = &frame {
-                    *consumed += total;
-                }
-                frame
-            }
-            Src::Segment(_) => unreachable!("segment chunks bypass next_log"),
-        };
-        let Some((rank, log, total)) = frame else {
-            return Err(self.short());
-        };
-        self.check_rank(rank)?;
-        self.done += 1;
-        let tele = crate::telemetry::metrics();
-        tele.records_replayed.incr();
-        tele.bytes_replayed.add(total as u64);
-        Ok(Some(log))
     }
-}
-
-/// Decodes the frame at `*pos` of an in-memory window; `Ok(None)` when
-/// fewer bytes remain than the frame needs (the caller's planned-range
-/// error applies).
-fn decode_frame_at(
-    window: &[u8],
-    pos: &mut usize,
-    file: &str,
-) -> Result<Option<(u64, VisitLog, usize)>, StoreError> {
-    if window.len() - *pos < FRAME_HEADER {
-        return Ok(None);
-    }
-    let header: &[u8; FRAME_HEADER] = window[*pos..*pos + FRAME_HEADER]
-        .try_into()
-        .expect("FRAME_HEADER bytes");
-    let header = codec::parse_header(header);
-    let total = FRAME_HEADER + header.len;
-    if window.len() - *pos < total {
-        return Ok(None);
-    }
-    let payload = &window[*pos + FRAME_HEADER..*pos + total];
-    let log = checked_decode(header.rank, header.check, payload, file)?;
-    *pos += total;
-    Ok(Some((header.rank, log, total)))
-}
-
-/// Streamed-backend frame decode: header then payload through the
-/// `BufReader`, bounded by the chunk's remaining byte budget.
-fn decode_frame_streamed(
-    reader: &mut BufReader<File>,
-    buf: &mut Vec<u8>,
-    left: usize,
-    file: &str,
-) -> Result<Option<(u64, VisitLog, usize)>, StoreError> {
-    if left < FRAME_HEADER {
-        return Ok(None);
-    }
-    let mut header = [0u8; FRAME_HEADER];
-    if !read_frame_exact(reader, &mut header)? {
-        return Ok(None);
-    }
-    let header = codec::parse_header(&header);
-    let total = FRAME_HEADER + header.len;
-    if left < total {
-        return Ok(None);
-    }
-    buf.resize(header.len, 0);
-    if !read_frame_exact(reader, buf)? {
-        return Ok(None);
-    }
-    let log = checked_decode(header.rank, header.check, buf, file)?;
-    Ok(Some((header.rank, log, total)))
-}
-
-/// `read_exact` with a clean-EOF signal (`Ok(false)`) instead of an
-/// error, matching the positioned readers.
-fn read_frame_exact(reader: &mut BufReader<File>, buf: &mut [u8]) -> Result<bool, StoreError> {
-    match reader.read_exact(buf) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(StoreError::Io(e)),
-    }
-}
-
-/// Checksum gate + payload decode, with the reader's error wording.
-fn checked_decode(
-    rank: u64,
-    check: u32,
-    payload: &[u8],
-    file: &str,
-) -> Result<VisitLog, StoreError> {
-    if codec::frame_check(rank, payload) != check {
-        return Err(StoreError::Corrupt {
-            file: file.to_string(),
-            detail: "frame checksum mismatch below the manifest watermark".to_string(),
-        });
-    }
-    codec::decode_visit_log(payload).map_err(|e| StoreError::Corrupt {
-        file: file.to_string(),
-        detail: e,
-    })
 }
 
 impl Iterator for ChunkStream {
@@ -501,9 +376,6 @@ impl Iterator for ChunkStream {
     fn next(&mut self) -> Option<Result<VisitLog, StoreError>> {
         if self.failed {
             return None;
-        }
-        if let Src::Segment(stream) = &mut self.src {
-            return stream.next();
         }
         match self.next_log() {
             Ok(Some(log)) => Some(Ok(log)),

@@ -1,14 +1,10 @@
 //! The binary segment codec: a compact, length-prefixed frame format
-//! for [`VisitLog`] records that replaces
-//! text parsing on the replay hot path.
+//! for [`VisitLog`] records.
 //!
-//! JSONL segments pay for generality three times per record on read:
-//! UTF-8 text parsing, a `Value` tree build, and a content-tree
-//! conversion. A binary segment stores the record's
-//! [`Content`] tree directly — tagged values with
-//! varint lengths — so replay is a buffered frame read plus one direct
-//! tree decode, with the record's rank available in the frame header
-//! *before* any payload work (the k-way merge orders on it).
+//! A segment stores each record's [`Content`] tree directly — tagged
+//! values with varint lengths — so replay is a frame read plus one
+//! direct tree decode, with the record's rank available in the frame
+//! header *before* any payload work (the k-way merge orders on it).
 //!
 //! ## Frame layout
 //!
@@ -22,8 +18,8 @@
 //!
 //! `check` is word-at-a-time FNV-1a ([`cg_hash::fnv1a32w`]) absorbing
 //! the rank, the payload, and the payload length, so a frame vouches
-//! for its own ordering key as well as its body. Recovery rules mirror
-//! the JSONL ones exactly (see [`crate::writer`]):
+//! for its own ordering key as well as its body. Recovery rules (see
+//! [`crate::writer`]):
 //!
 //! * fewer than 16 bytes left, or a declared payload running past EOF
 //!   → a crash mid-append: **truncate** back to the last good frame;
@@ -32,7 +28,7 @@
 //! * a checksum mismatch with complete frames after it → mid-file
 //!   damage truncation cannot repair: **corrupt**;
 //! * ranks must be strictly ascending within a segment (sorted-run
-//!   invariant), as on the JSONL path.
+//!   invariant).
 //!
 //! ## Payload encoding
 //!
@@ -42,73 +38,39 @@
 //! strings are varint-length-prefixed UTF-8, and sequences/maps are
 //! varint counts followed by their elements in order. Map entry order
 //! is preserved byte-for-byte, so a decoded record re-serializes to
-//! JSON **byte-identically** to the line a JSONL segment would have
-//! held — the property the cross-format differential tests pin.
+//! JSON **byte-identically** to `serde_json::to_string` of the logged
+//! [`VisitLog`] — what [`content_to_json_line`] and
+//! `CrawlReader::raw_lines` render. Decoding treats every payload as
+//! hostile: counts never reserve more elements than the payload has
+//! bytes left, and every malformed input is an `Err`, never a panic.
 
 use cg_hash::fnv1a32w;
 use serde::{Content, Deserialize, Serialize};
 
 /// On-disk representation of one store's segments, recorded in the
-/// manifest fingerprint (a store never mixes formats).
+/// manifest fingerprint as `"binary"`. Stores written in the retired
+/// `"jsonl"` format are refused with a typed error (see
+/// [`Manifest::load`](crate::Manifest::load)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SegmentFormat {
-    /// One compact JSON line per visit (`seg-<n>.jsonl`) — the v1
-    /// format, still the default: human-greppable, diffable, slow.
+    /// Length-prefixed binary frames (`seg-<n>.bin`).
     #[default]
-    Jsonl,
-    /// Length-prefixed binary frames (`seg-<n>.bin`) — the replay fast
-    /// path for large crawls.
     Binary,
-}
-
-impl SegmentFormat {
-    /// Segment file extension (without the dot).
-    pub fn extension(self) -> &'static str {
-        match self {
-            SegmentFormat::Jsonl => "jsonl",
-            SegmentFormat::Binary => "bin",
-        }
-    }
-
-    /// The format a segment file name was written in, by extension.
-    pub fn of_file(name: &str) -> Option<SegmentFormat> {
-        if name.ends_with(".jsonl") {
-            Some(SegmentFormat::Jsonl)
-        } else if name.ends_with(".bin") {
-            Some(SegmentFormat::Binary)
-        } else {
-            None
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            SegmentFormat::Jsonl => "jsonl",
-            SegmentFormat::Binary => "binary",
-        }
-    }
-}
-
-impl std::fmt::Display for SegmentFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 // Serialized as a plain string so the manifest stays greppable.
 impl Serialize for SegmentFormat {
     fn to_content(&self) -> Content {
-        Content::Str(self.as_str().to_string())
+        Content::Str("binary".to_string())
     }
 }
 
 impl<'de> Deserialize<'de> for SegmentFormat {
     fn from_content(content: &Content) -> Result<Self, serde::DeError> {
         match content {
-            Content::Str(s) if s == "jsonl" => Ok(SegmentFormat::Jsonl),
             Content::Str(s) if s == "binary" => Ok(SegmentFormat::Binary),
             other => Err(serde::DeError(format!(
-                "unknown segment format {other:?} (expected \"jsonl\" or \"binary\")"
+                "unknown segment format {other:?} (expected \"binary\")"
             ))),
         }
     }
@@ -161,10 +123,10 @@ pub fn parse_header(bytes: &[u8; FRAME_HEADER]) -> FrameHeader {
 // Content payloads
 // ---------------------------------------------------------------------
 
-/// Reprints a decoded payload as the compact JSON line a JSONL segment
-/// would have stored for the same record. Map entry order is preserved
-/// end to end, so this is byte-identical to the text format's line —
-/// the cross-format differential oracle.
+/// Reprints a decoded payload as one compact JSON line. Map entry order
+/// is preserved end to end, so this is byte-identical to
+/// `serde_json::to_string` of the record that was written — the
+/// human-readable form of a store (`cg-experiments dump`).
 pub fn content_to_json_line(content: &Content) -> String {
     struct Raw<'a>(&'a Content);
     impl Serialize for Raw<'_> {
@@ -185,7 +147,9 @@ const TAG_STR: u8 = 6;
 const TAG_SEQ: u8 = 7;
 const TAG_MAP: u8 = 8;
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as an LEB128 varint (also the frame index's integer
+/// encoding).
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -195,6 +159,21 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// Reads the LEB128 varint at `*pos`; `None` when the bytes end
+/// first or the varint runs past 10 bytes.
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = *bytes.get(*pos)?;
+        *pos += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -250,111 +229,24 @@ pub fn encode_content(content: &Content, out: &mut Vec<u8>) {
 /// consumed — trailing garbage means the payload was not a single
 /// well-formed tree.
 pub fn decode_content(payload: &[u8]) -> Result<Content, String> {
-    let mut cursor = Cursor {
+    let mut d = Dec {
         bytes: payload,
         pos: 0,
     };
-    let content = cursor.value(0)?;
-    if cursor.pos != payload.len() {
+    let content = d.value(0)?;
+    if d.pos != payload.len() {
         return Err(format!(
             "{} trailing bytes after the content tree",
-            payload.len() - cursor.pos
+            payload.len() - d.pos
         ));
     }
     Ok(content)
 }
 
-/// Nesting ceiling for decode: no [`VisitLog`]
+/// Nesting ceiling for [`decode_content`]: no [`VisitLog`]
 /// comes close, so hitting it means the payload is garbage that
 /// happened to checksum (or a different schema entirely).
 const MAX_DEPTH: usize = 64;
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn byte(&mut self) -> Result<u8, String> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(format!("varint longer than 10 bytes at {}", self.pos))
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Content, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("content nested deeper than {MAX_DEPTH}"));
-        }
-        Ok(match self.byte()? {
-            TAG_NULL => Content::Null,
-            TAG_FALSE => Content::Bool(false),
-            TAG_TRUE => Content::Bool(true),
-            TAG_I64 => Content::I64(unzigzag(self.varint()?)),
-            TAG_U64 => Content::U64(self.varint()?),
-            TAG_F64 => Content::F64(f64::from_le_bytes(
-                self.take(8)?.try_into().expect("8 bytes"),
-            )),
-            TAG_STR => {
-                let len = self.varint()? as usize;
-                let bytes = self.take(len)?.to_vec();
-                Content::Str(
-                    String::from_utf8(bytes)
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?,
-                )
-            }
-            TAG_SEQ => {
-                let count = self.varint()? as usize;
-                let mut items = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Content::Seq(items)
-            }
-            TAG_MAP => {
-                let count = self.varint()? as usize;
-                let mut entries = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let k = self.value(depth + 1)?;
-                    let v = self.value(depth + 1)?;
-                    entries.push((k, v));
-                }
-                Content::Map(entries)
-            }
-            tag => {
-                return Err(format!(
-                    "unknown content tag {tag} at byte {}",
-                    self.pos - 1
-                ))
-            }
-        })
-    }
-}
 
 // ---------------------------------------------------------------------
 // Specialized VisitLog encoder: the record fast path
@@ -595,15 +487,14 @@ impl Enc<'_> {
 /// [`VisitLog`], skipping the intermediate
 /// [`Content`] tree the generic path builds. Map keys are compared as
 /// borrowed byte slices (zero allocation per key) and only the final
-/// owned fields allocate, which is what makes binary replay several
-/// times faster than text parsing.
+/// owned fields allocate.
 ///
 /// The decoder is *positional*: it expects exactly the field sequence
 /// the derive-generated `to_content` emits (declaration order — the
 /// only thing [`crate::writer`] ever writes). Any deviation is an
-/// error, never a silent partial record; the cross-format differential
-/// tests pin its agreement with the generic
-/// `decode_content` + `from_content` path on every record of a crawl.
+/// error, never a silent partial record; unit tests pin its agreement
+/// with the generic `decode_content` + `from_content` path on every
+/// record of a crawl.
 pub fn decode_visit_log(payload: &[u8]) -> Result<VisitLog, String> {
     let mut d = Dec {
         bytes: payload,
@@ -652,15 +543,60 @@ impl<'a> Dec<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
+        read_varint(self.bytes, &mut self.pos)
+            .ok_or_else(|| format!("truncated or overlong varint at byte {}", self.pos))
+    }
+
+    /// One generic content node (the [`decode_content`] path).
+    fn value(&mut self, depth: usize) -> Result<Content, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("content nested deeper than {MAX_DEPTH}"));
         }
-        Err(format!("varint longer than 10 bytes at {}", self.pos))
+        Ok(match self.byte()? {
+            TAG_NULL => Content::Null,
+            TAG_FALSE => Content::Bool(false),
+            TAG_TRUE => Content::Bool(true),
+            TAG_I64 => Content::I64(unzigzag(self.varint()?)),
+            TAG_U64 => Content::U64(self.varint()?),
+            TAG_F64 => Content::F64(f64::from_le_bytes(
+                self.take(8)?.try_into().expect("8 bytes"),
+            )),
+            TAG_STR => {
+                let len = self.varint()? as usize;
+                let bytes = self.take(len)?;
+                Content::Str(
+                    std::str::from_utf8(bytes)
+                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?
+                        .to_owned(),
+                )
+            }
+            TAG_SEQ => {
+                let count = self.varint()? as usize;
+                // Every element takes at least its tag byte.
+                let mut items = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
+                for _ in 0..count {
+                    items.push(self.value(depth + 1)?);
+                }
+                Content::Seq(items)
+            }
+            TAG_MAP => {
+                let count = self.varint()? as usize;
+                // Every entry takes at least a key tag and a value tag.
+                let mut entries = Vec::with_capacity(count.min((self.bytes.len() - self.pos) / 2));
+                for _ in 0..count {
+                    let k = self.value(depth + 1)?;
+                    let v = self.value(depth + 1)?;
+                    entries.push((k, v));
+                }
+                Content::Map(entries)
+            }
+            tag => {
+                return Err(format!(
+                    "unknown content tag {tag} at byte {}",
+                    self.pos - 1
+                ))
+            }
+        })
     }
 
     fn expect_tag(&mut self, want: u8, what: &str) -> Result<(), String> {
@@ -743,7 +679,9 @@ impl<'a> Dec<'a> {
     ) -> Result<Vec<T>, String> {
         self.expect_tag(TAG_SEQ, "a sequence")?;
         let count = self.varint()? as usize;
-        let mut out = Vec::with_capacity(count.min(1 << 16));
+        // Every item takes at least one byte: a hostile count never
+        // reserves more than the payload could hold.
+        let mut out = Vec::with_capacity(count.min(self.bytes.len() - self.pos));
         for _ in 0..count {
             out.push(item(self)?);
         }
@@ -1019,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_log_payload_reprints_identically_to_jsonl() {
+    fn visit_log_payload_reprints_as_its_json_serialization() {
         let log = VisitLog {
             site_domain: "site42.example".into(),
             rank: 42,
@@ -1028,8 +966,8 @@ mod tests {
         };
         let content = log.to_content();
         let back = roundtrip(&content);
-        // The decoded tree must reprint to the exact JSONL line the
-        // text format would have stored — the cross-format oracle.
+        // The decoded tree must reprint to the exact JSON serialization
+        // of the record — the line `dump` prints.
         assert_eq!(
             content_to_json_line(&back),
             serde_json::to_string(&log).unwrap()
@@ -1060,33 +998,18 @@ mod tests {
     }
 
     #[test]
-    fn specialized_decoder_refuses_truncation_and_trailing_bytes() {
-        let log = VisitLog {
-            site_domain: "site7.example".into(),
-            rank: 7,
-            complete: false,
-            ..VisitLog::default()
-        };
+    fn trailing_bytes_and_foreign_trees_are_refused() {
+        // Truncation is covered by the hostile-payload property tests.
         let mut payload = Vec::new();
-        encode_content(&log.to_content(), &mut payload);
+        encode_content(&VisitLog::default().to_content(), &mut payload);
         assert!(decode_visit_log(&payload).is_ok());
-        assert!(decode_visit_log(&payload[..payload.len() - 1]).is_err());
-        let mut trailing = payload.clone();
-        trailing.push(TAG_NULL);
-        assert!(decode_visit_log(&trailing).is_err());
-        // A payload that is valid Content but not a VisitLog.
+        payload.push(TAG_NULL);
+        assert!(decode_visit_log(&payload).is_err(), "trailing bytes");
+        assert!(decode_content(&payload).is_err(), "trailing bytes");
+        // Valid content, but not a VisitLog; and an unknown tag.
         let mut not_a_log = Vec::new();
         encode_content(&Content::Str("hello".into()), &mut not_a_log);
         assert!(decode_visit_log(&not_a_log).is_err());
-    }
-
-    #[test]
-    fn truncated_and_trailing_payloads_are_refused() {
-        let mut buf = Vec::new();
-        encode_content(&Content::Str("hello".into()), &mut buf);
-        assert!(decode_content(&buf[..buf.len() - 1]).is_err(), "truncated");
-        buf.push(TAG_NULL);
-        assert!(decode_content(&buf).is_err(), "trailing bytes");
         assert!(decode_content(&[99]).is_err(), "unknown tag");
     }
 
@@ -1115,17 +1038,10 @@ mod tests {
             serde_json::to_string(&SegmentFormat::Binary).unwrap(),
             "\"binary\""
         );
-        let back: SegmentFormat = serde_json::from_str("\"jsonl\"").unwrap();
-        assert_eq!(back, SegmentFormat::Jsonl);
-        assert!(serde_json::from_str::<SegmentFormat>("\"cbor\"").is_err());
-        assert_eq!(
-            SegmentFormat::of_file("seg-3.bin"),
-            Some(SegmentFormat::Binary)
-        );
-        assert_eq!(
-            SegmentFormat::of_file("seg-3.jsonl"),
-            Some(SegmentFormat::Jsonl)
-        );
-        assert_eq!(SegmentFormat::of_file("manifest.json"), None);
+        let back: SegmentFormat = serde_json::from_str("\"binary\"").unwrap();
+        assert_eq!(back, SegmentFormat::Binary);
+        for retired_or_unknown in ["\"jsonl\"", "\"cbor\"", "7"] {
+            assert!(serde_json::from_str::<SegmentFormat>(retired_or_unknown).is_err());
+        }
     }
 }

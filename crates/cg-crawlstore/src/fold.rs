@@ -1,126 +1,37 @@
-//! Parallel per-segment folds: N workers each fold one whole segment's
-//! stream, and the per-segment partials are combined **in manifest
-//! order** — so the result is a deterministic function of the store's
-//! contents, independent of worker count or scheduling.
+//! The parallel fold: N workers claim chunks of the store's segments
+//! one at a time, fold each with a caller-supplied closure, and the
+//! per-chunk partials come back **in (segment, chunk) order** — so the
+//! result is a deterministic function of the store's contents,
+//! independent of worker count or scheduling.
 //!
 //! Why this is sound: segments hold *disjoint* rank sets (the writer
 //! hands every worker a fresh file and ranks come from one atomic
-//! counter), each segment is internally rank-sorted, and the manifest
-//! lists segments in a fixed (file-name-sorted) order. Any fold whose
-//! merge is associative over disjoint rank ranges therefore produces
-//! byte-identical output at 1 thread and at N — the property the
-//! analysis layer's differential tests pin.
+//! counter), each segment is internally rank-sorted, the manifest lists
+//! segments in a fixed (file-name-sorted) order, and the chunks of one
+//! segment hold disjoint, contiguous rank ranges in file order
+//! ([`plan_chunks`]). Any fold whose merge is associative over disjoint
+//! rank ranges therefore produces byte-identical output at 1 thread and
+//! at N — the property the analysis layer's differential tests pin.
 //!
 //! The store layer stays below analysis: this module knows nothing
-//! about statistics. It runs caller-supplied closures over
-//! [`SegmentStream`]s and hands back the partials in segment order;
-//! `cg-analysis` supplies the mergeable partial types (`Dataset`
-//! partials, `StreamStats`).
-//!
-//! [`par_fold_with`] is the chunk-granular successor: binary segments
-//! are cut at frame-index boundaries ([`plan_chunks`](crate::chunk)),
-//! so parallelism exists *within* a segment too — a store written by
-//! one worker still fans out across every fold thread. The soundness
-//! argument extends unchanged: chunks of one segment hold disjoint,
-//! contiguous rank ranges in file order, so reducing the per-chunk
-//! partials in the fixed (segment, chunk) order is deterministic at
-//! any thread count and through any [`ReadBackend`].
+//! about statistics. `cg-analysis` and `cg-detect` supply the mergeable
+//! partial types (`Dataset` partials, `StreamStats`, `DetectStats`).
 
 use crate::chunk::{plan_chunks, ChunkStream, ReadBackend};
-use crate::codec::SegmentFormat;
-use crate::manifest::Manifest;
-use crate::reader::{segment_streams, SegmentStream};
 use crate::StoreError;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Folds every segment of the store at `dir` with `fold_segment`,
-/// using up to `threads` workers, and returns the partials **in
-/// manifest (file-name-sorted) segment order** — the fixed reduce
-/// order that makes parallel results deterministic.
-///
-/// Workers pull segment indices from a shared counter, so long and
-/// short segments load-balance. Memory is bounded by
-/// `threads × (one in-flight record + one partial)` — independent of
-/// crawl size as long as the partial type is.
-///
-/// The first segment error is returned (after all workers stop); the
-/// partials of unaffected segments are discarded rather than exposed.
-pub fn par_fold<T, F>(
-    dir: impl AsRef<Path>,
-    threads: usize,
-    fold_segment: F,
-) -> Result<Vec<T>, StoreError>
-where
-    T: Send,
-    F: Fn(SegmentStream) -> Result<T, StoreError> + Sync,
-{
-    let streams = segment_streams(dir)?;
-    let count = streams.len();
-    let threads = threads.max(1).min(count.max(1));
-    // One span + shard count per segment claim, at any thread count.
-    let fold_shard = |i: usize, stream: SegmentStream| {
-        crate::telemetry::metrics().fold_shards.incr();
-        let _span = cg_telemetry::span!("fold_shard", i);
-        fold_segment(stream)
-    };
-    if threads <= 1 {
-        return streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| fold_shard(i, s))
-            .collect();
-    }
-
-    // Hand each worker exclusive ownership of whole segments: a slot
-    // vector claimed through an atomic cursor (indices are claimed
-    // exactly once, so the mutexes are uncontended formality).
-    let slots: Vec<Mutex<Option<SegmentStream>>> =
-        streams.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let results: Vec<Mutex<Option<Result<T, StoreError>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    return;
-                }
-                let stream = slots[i]
-                    .lock()
-                    .expect("segment slot lock poisoned")
-                    .take()
-                    .expect("segment index claimed twice");
-                let partial = fold_shard(i, stream);
-                *results[i].lock().expect("result slot lock poisoned") = Some(partial);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock poisoned")
-                .expect("every segment index was claimed")
-        })
-        .collect()
-}
-
-/// Chunk-granular [`par_fold`]: folds every chunk of the store at
-/// `dir` with `fold_chunk` through the chosen [`ReadBackend`], using up
+/// Folds every chunk of the store at `dir` with `fold_chunk`, using up
 /// to `threads` workers, and returns the partials **in (segment,
 /// chunk) order** — the fixed reduce order that keeps parallel results
-/// byte-identical at any thread count and backend.
+/// byte-identical at any thread count.
 ///
-/// Binary stores are cut at frame-index stride boundaries (sidecar
-/// `.idx` files, rebuilt by a header scan when absent or refused), so
-/// even a single-segment store saturates every worker. JSONL stores
-/// fall back to one chunk per segment — same closure signature, same
-/// determinism, segment-granular parallelism.
+/// Segments are cut at frame-index stride boundaries (sidecar `.idx`
+/// files, rebuilt by a header scan when absent or refused), so even a
+/// single-segment store saturates every worker. `backend` is
+/// [`ReadBackend::Mmap`] (positioned reads wherever mapping fails).
 ///
 /// Workers pull chunk indices from a shared counter (work stealing, so
 /// skewed segments load-balance); memory is bounded by
@@ -135,13 +46,6 @@ where
     T: Send,
     F: Fn(ChunkStream) -> Result<T, StoreError> + Sync,
 {
-    let dir = dir.as_ref();
-    // Line-oriented segments have no frame offsets to cut at: reuse the
-    // segment-granular fold, one whole segment per chunk.
-    let format = Manifest::load(dir)?.map(|m| m.fingerprint.format);
-    if format == Some(SegmentFormat::Jsonl) {
-        return par_fold(dir, threads, |s| fold_chunk(ChunkStream::from_segment(s)));
-    }
     let plan = plan_chunks(dir)?;
     let count = plan.len();
     let threads = threads.max(1).min(count.max(1));
@@ -225,21 +129,25 @@ mod tests {
     }
 
     #[test]
-    fn partials_come_back_in_segment_order_at_any_thread_count() {
+    fn partials_come_back_in_chunk_order_at_any_thread_count() {
         let dir = tmp_dir("order");
-        fill(&dir, 4, 100);
-        let fold = |stream: SegmentStream| {
-            stream
+        fill(&dir, 4, 300);
+        let fold = |chunk: ChunkStream| {
+            chunk
                 .map(|r| r.map(|l| l.rank))
                 .collect::<Result<Vec<_>, _>>()
         };
-        let sequential = par_fold(&dir, 1, fold).unwrap();
+        let sequential = par_fold_with(&dir, 1, ReadBackend::Mmap, fold).unwrap();
+        assert!(sequential.len() > 4, "segments span several chunks");
         for threads in [2, 4, 8] {
-            assert_eq!(par_fold(&dir, threads, fold).unwrap(), sequential);
+            assert_eq!(
+                par_fold_with(&dir, threads, ReadBackend::Mmap, fold).unwrap(),
+                sequential
+            );
         }
         // Partials cover the store exactly.
         let total: usize = sequential.iter().map(Vec::len).sum();
-        assert_eq!(total, 100);
+        assert_eq!(total, 300);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -247,7 +155,7 @@ mod tests {
     fn empty_store_folds_to_no_partials() {
         let dir = tmp_dir("empty");
         drop(CrawlWriter::open(&dir, fp()).unwrap());
-        let partials = par_fold(&dir, 8, |s| Ok(s.count())).unwrap();
+        let partials = par_fold_with(&dir, 8, ReadBackend::Mmap, |c| Ok(c.count())).unwrap();
         assert!(partials.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -261,8 +169,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(dir.join("seg-1.bin"), &bytes).unwrap();
-        let result = par_fold(&dir, 4, |s| {
-            s.map(|r| r.map(|_| 1usize)).sum::<Result<usize, _>>()
+        let result = par_fold_with(&dir, 4, ReadBackend::Mmap, |c| {
+            c.map(|r| r.map(|_| 1usize)).sum::<Result<usize, _>>()
         });
         assert!(matches!(result, Err(StoreError::Corrupt { .. })));
         std::fs::remove_dir_all(&dir).unwrap();

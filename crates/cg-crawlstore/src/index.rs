@@ -23,7 +23,7 @@
 //! [`load_index`], [`scan_index`], [`durable_end`], [`write_index`]
 //! (writer side).
 
-use crate::codec::{self, FRAME_HEADER};
+use crate::codec::{self, read_varint, write_varint, FRAME_HEADER};
 use crate::manifest::SegmentMeta;
 use crate::pread::pread_exact;
 use crate::StoreError;
@@ -68,43 +68,14 @@ pub fn index_file_name(segment_file: &str) -> Option<String> {
         .map(|stem| format!("{stem}.idx"))
 }
 
-fn write_uv(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_uv(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
 /// Encodes an index: magic, version, stride, entry count, LEB128
 /// deltas (first entry absolute), and a checksum over the delta bytes.
 pub fn encode_index(stride: u32, entries: &[IndexEntry]) -> Vec<u8> {
     let mut body = Vec::new();
     let mut prev = IndexEntry { rank: 0, offset: 0 };
     for e in entries {
-        write_uv(&mut body, e.rank - prev.rank);
-        write_uv(&mut body, e.offset - prev.offset);
+        write_varint(&mut body, e.rank - prev.rank);
+        write_varint(&mut body, e.offset - prev.offset);
         prev = *e;
     }
     let mut out = Vec::with_capacity(16 + body.len() + 4);
@@ -195,8 +166,8 @@ pub fn decode_index(bytes: &[u8]) -> Result<FrameIndex, IndexError> {
     let mut pos = 0usize;
     let mut prev = IndexEntry { rank: 0, offset: 0 };
     for i in 0..count {
-        let d_rank = read_uv(body, &mut pos).ok_or(IndexError::Truncated)?;
-        let d_off = read_uv(body, &mut pos).ok_or(IndexError::Truncated)?;
+        let d_rank = read_varint(body, &mut pos).ok_or(IndexError::Truncated)?;
+        let d_off = read_varint(body, &mut pos).ok_or(IndexError::Truncated)?;
         if i > 0 && (d_rank == 0 || d_off == 0) {
             return Err(IndexError::NotIncreasing);
         }
@@ -307,7 +278,7 @@ fn scan_tail(
 /// Rebuilds the index for a bare (or index-less) segment by scanning
 /// every frame header of the durable prefix. Also yields the durable
 /// byte end. Headers only — payload bytes are validated by the decode
-/// path, exactly as in the streaming readers.
+/// path, exactly as in the chunk decoder.
 pub fn scan_index(
     file: &File,
     name: &str,
@@ -403,13 +374,13 @@ mod tests {
     fn overflowing_deltas_are_a_typed_error() {
         let mut body = Vec::new();
         for delta in [u64::MAX, 1, 1, 1] {
-            write_uv(&mut body, delta);
+            write_varint(&mut body, delta);
         }
         // rank: u64::MAX + 1 overflows on the second entry.
         assert_eq!(decode_index(&forged(2, &body)), Err(IndexError::Overflow));
         let mut body = Vec::new();
         for delta in [1, u64::MAX, 1, 1] {
-            write_uv(&mut body, delta);
+            write_varint(&mut body, delta);
         }
         assert_eq!(decode_index(&forged(2, &body)), Err(IndexError::Overflow));
     }

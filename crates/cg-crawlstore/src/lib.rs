@@ -12,38 +12,31 @@
 //!   segment an internally rank-sorted run — a resume back-fills
 //!   missing ranks into new segments instead of appending low ranks
 //!   behind high ones, which is what keeps the reader's merge correct.
-//!   Two on-disk [`SegmentFormat`]s exist with identical semantics:
-//!   `seg-<n>.jsonl` (one compact `serde_json` line per visit — the
-//!   default: greppable, diffable) and `seg-<n>.bin` (length-prefixed
-//!   checksummed binary frames, see [`codec`] — the replay fast path
-//!   for million-visit crawls). The format is part of the
-//!   [`Fingerprint`], so a store never mixes formats and a resume in
-//!   the wrong format is refused like any other fingerprint mismatch.
+//!   Segments are `seg-<n>.bin` files of length-prefixed checksummed
+//!   binary frames ([`codec`]); `CrawlReader::raw_lines` (printed by
+//!   `cg-experiments dump`) renders them as one JSON line per visit.
+//!   Stores written in the retired JSONL segment format are refused
+//!   with a typed error.
 //! * **Checkpointing** — `manifest.json` records the crawl's config
 //!   fingerprint (master seed, rank range, visit-config digest) plus a
 //!   per-segment durability watermark. Reopening an existing directory
-//!   validates the fingerprint, truncates any torn trailing line left
+//!   validates the fingerprint, truncates any torn trailing frame left
 //!   by a crash, and returns the set of already-completed ranks, so a
 //!   resumed crawl skips finished work and — because every visit is a
 //!   pure function of (master seed, rank, visit config) — converges to
 //!   byte-identical output versus an uninterrupted run.
-//! * **Streaming reads** — [`CrawlReader`] replays the store
-//!   rank-ordered via a k-way merge over the segment files, holding one
-//!   record per segment in memory. `Dataset::from_reader` in
-//!   `cg-analysis` folds that stream incrementally. For parallel
-//!   analysis, [`par_fold`] instead folds each segment's stream on its
-//!   own worker and combines the partials in a fixed segment order —
-//!   deterministic (byte-identical statistics) at any thread count,
-//!   because segments hold disjoint rank sets.
-//! * **Chunked zero-copy reads** — binary segments carry a
-//!   `seg-<n>.idx` frame-index sidecar ([`index`]) that cuts each
-//!   segment into independently decodable chunks ([`chunk`]), so
-//!   [`par_fold_with`] parallelizes *within* segments through a chosen
-//!   [`ReadBackend`]: `mmap(2)` windows over the page cache ([`mmap`],
-//!   the default — zero-copy, falling back to `pread` wherever mapping
-//!   fails), positioned reads, or buffered streaming. All backends
-//!   verify the same checksums and watermarks and produce
-//!   byte-identical folds.
+//! * **One read path** — every segment carries a `seg-<n>.idx`
+//!   frame-index sidecar ([`index`]) that cuts it into independently
+//!   decodable chunks ([`chunk`]), each decoded from one in-memory
+//!   window: a zero-copy `mmap(2)` view of the page cache ([`mmap`]),
+//!   or a positioned read wherever mapping fails. [`par_fold_with`]
+//!   folds the chunks on parallel workers and combines the partials in
+//!   a fixed (segment, chunk) order — byte-identical statistics at any
+//!   thread count, because chunks hold disjoint rank ranges.
+//!   [`CrawlReader`] replays the store rank-ordered via a k-way merge
+//!   over the segments, pulling each through the same chunk windows;
+//!   `Dataset::from_reader` in `cg-analysis` folds that stream
+//!   incrementally.
 //!
 //! ```no_run
 //! use cg_browser::{crawl_into, VisitConfig};
@@ -76,21 +69,19 @@ pub mod fold;
 pub mod index;
 pub mod manifest;
 pub mod mmap;
-pub mod pread;
+mod pread;
 pub mod reader;
 pub(crate) mod telemetry;
 pub mod writer;
 
 pub use chunk::{plan_chunks, ChunkPlan, ChunkSpec, ChunkStream, ReadBackend};
 pub use codec::SegmentFormat;
-pub use fold::{par_fold, par_fold_with};
+pub use fold::par_fold_with;
 pub use manifest::{Fingerprint, Manifest, SegmentMeta, MANIFEST_FILE};
 pub use mmap::Mmap;
-pub use pread::{frame_cursors, FrameCursor};
-pub use reader::{segment_streams, CrawlReader, SegmentStream};
+pub use reader::CrawlReader;
 pub use writer::{
-    crawl_to_store, crawl_to_store_with, open_store, open_store_with, CrawlWriter, SegmentWriter,
-    StoreCrawl, StoreStats,
+    crawl_to_store, open_store, open_store_with, CrawlWriter, SegmentWriter, StoreCrawl, StoreStats,
 };
 
 use std::fmt;

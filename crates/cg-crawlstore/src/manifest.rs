@@ -16,6 +16,47 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 /// Current on-disk format version.
 pub const MANIFEST_VERSION: u32 = 1;
 
+/// Deepest JSON nesting [`Manifest::load`] parses (a manifest has 3).
+const MAX_NESTING: usize = 16;
+
+/// The refusal of a store written in the retired JSONL format.
+fn retired_jsonl(found: &str) -> StoreError {
+    StoreError::Corrupt {
+        file: MANIFEST_FILE.to_string(),
+        detail: format!(
+            "store uses the retired JSONL segment format ({found}); \
+             this build reads binary stores only, so re-crawl into a fresh directory"
+        ),
+    }
+}
+
+/// Maximum bracket nesting of JSON `text`, brackets inside strings
+/// included — an overestimate no real manifest comes near.
+fn nesting_depth(text: &str) -> usize {
+    let mut depth = 0usize;
+    text.bytes()
+        .map(|b| {
+            match b {
+                b'[' | b'{' => depth += 1,
+                b']' | b'}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            depth
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The `<n>` of a `seg-<n>.bin` segment file name.
+pub(crate) fn segment_number(file_name: &str) -> Option<usize> {
+    let n = file_name.strip_prefix("seg-")?.strip_suffix(".bin")?;
+    // Digits only: `parse` would also take a sign.
+    if n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    n.parse().ok()
+}
+
 /// Identifies the crawl a store belongs to. Two crawls with equal
 /// fingerprints produce identical visit logs for every rank, which is
 /// what makes resuming into an existing directory sound.
@@ -36,11 +77,9 @@ pub struct Fingerprint {
     /// (e.g. `GenConfig::small(n)` vs `GenConfig::default()`) must not
     /// resume each other's stores.
     pub generator: String,
-    /// On-disk segment format. Part of the fingerprint because a store
-    /// never mixes formats: resuming a JSONL store as binary (or vice
-    /// versa) must be refused, not silently interleaved. Version-1
-    /// manifests predate the field and default to JSONL.
-    #[serde(default)]
+    /// On-disk segment format (always `"binary"`). Manifests without
+    /// the field, or naming the retired `"jsonl"` format, are refused
+    /// by [`Manifest::load`].
     pub format: SegmentFormat,
 }
 
@@ -64,28 +103,20 @@ impl Fingerprint {
             to,
             visit_config: cfg.fingerprint(),
             generator,
-            format: SegmentFormat::default(),
+            format: SegmentFormat::Binary,
         }
-    }
-
-    /// The same crawl, stored in `format` segments. The default is
-    /// JSONL; large crawls opt into binary for replay speed.
-    pub fn with_format(mut self, format: SegmentFormat) -> Fingerprint {
-        self.format = format;
-        self
     }
 }
 
 /// One segment file's durability watermark.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentMeta {
-    /// File name relative to the store directory (`seg-<n>.jsonl` or
-    /// `seg-<n>.bin`, matching the fingerprint's format).
+    /// File name relative to the store directory (`seg-<n>.bin`).
     pub file: String,
     /// Records known durable (fsync'd) in this segment. The file may
-    /// hold *more* complete lines than this (written but not yet
+    /// hold *more* complete frames than this (written but not yet
     /// fsync'd when the process died); recovery keeps every complete
-    /// line, since completed visits are deterministic either way.
+    /// frame, since completed visits are deterministic either way.
     pub synced_records: u64,
     /// Highest rank among the synced records (0 when empty).
     pub max_rank: u64,
@@ -114,25 +145,58 @@ impl Manifest {
 
     /// Loads the manifest from a store directory. `Ok(None)` when the
     /// directory has no manifest (a brand-new store).
+    ///
+    /// The manifest is hostile input like every file read back: any
+    /// malformed text is a typed [`StoreError::Corrupt`], never a
+    /// panic. A store in the retired JSONL segment format (`"format":
+    /// "jsonl"`, or a version-1 manifest that predates the field) is
+    /// refused here, before any caller touches a segment file.
     pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
         let path = dir.join(MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        let manifest: Manifest = serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
+        let corrupt = |detail: String| StoreError::Corrupt {
             file: MANIFEST_FILE.to_string(),
-            detail: e.to_string(),
-        })?;
+            detail,
+        };
+        let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(e.to_string()))?;
+        // The JSON parser recurses per nesting level; a manifest is three
+        // levels deep, so refuse anything deep enough to threaten the
+        // stack before parsing it.
+        if nesting_depth(text) > MAX_NESTING {
+            return Err(corrupt(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        let value: serde_json::Value =
+            serde_json::from_str(text).map_err(|e| corrupt(e.to_string()))?;
+        let format = value.get("fingerprint").map(|f| f.get("format"));
+        if let Some(None) = format {
+            return Err(retired_jsonl("a manifest without a segment format"));
+        }
+        if let Some(Some(f)) = format {
+            if f.as_str() == Some("jsonl") {
+                return Err(retired_jsonl("\"format\": \"jsonl\""));
+            }
+        }
+        let manifest: Manifest =
+            serde_json::from_value(value).map_err(|e| corrupt(e.to_string()))?;
         if manifest.version != MANIFEST_VERSION {
-            return Err(StoreError::Corrupt {
-                file: MANIFEST_FILE.to_string(),
-                detail: format!(
-                    "unsupported version {} (expected {MANIFEST_VERSION})",
-                    manifest.version
-                ),
-            });
+            return Err(corrupt(format!(
+                "unsupported version {} (expected {MANIFEST_VERSION})",
+                manifest.version
+            )));
+        }
+        if let Some(seg) = manifest
+            .segments
+            .iter()
+            .find(|s| segment_number(&s.file).is_none())
+        {
+            return Err(corrupt(format!(
+                "segment entry {:?} is not a seg-<n>.bin file name",
+                seg.file
+            )));
         }
         Ok(Some(manifest))
     }
@@ -189,7 +253,7 @@ mod tests {
             to: 100,
             visit_config: "abc".into(),
             generator: "gen".into(),
-            format: SegmentFormat::Jsonl,
+            format: SegmentFormat::Binary,
         }
     }
 
@@ -204,37 +268,44 @@ mod tests {
     fn round_trip() {
         let dir = tmp_dir("rt");
         let mut m = Manifest::new(fp());
-        m.segment_mut("seg-1.jsonl").synced_records = 4;
-        m.segment_mut("seg-0.jsonl").max_rank = 9;
+        m.segment_mut("seg-1.bin").synced_records = 4;
+        m.segment_mut("seg-0.bin").max_rank = 9;
         m.store(&dir).unwrap();
         let back = Manifest::load(&dir).unwrap().unwrap();
         assert_eq!(back.fingerprint, fp());
         // Stored sorted by file name.
-        assert_eq!(back.segments[0].file, "seg-0.jsonl");
+        assert_eq!(back.segments[0].file, "seg-0.bin");
         assert_eq!(back.segments[1].synced_records, 4);
+        let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        assert!(text.contains("\"format\": \"binary\""), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn format_field_defaults_to_jsonl_for_old_manifests() {
-        // A manifest written before the binary format existed has no
-        // `format` key; it must load as a JSONL store, not be refused.
-        let dir = tmp_dir("v1-format");
-        let legacy = r#"{
-            "version": 1,
-            "fingerprint": {
-                "master_seed": 7, "from": 1, "to": 100,
-                "visit_config": "abc", "generator": "gen"
-            },
-            "segments": []
-        }"#;
-        std::fs::write(dir.join(MANIFEST_FILE), legacy).unwrap();
-        let m = Manifest::load(&dir).unwrap().unwrap();
-        assert_eq!(m.fingerprint.format, SegmentFormat::Jsonl);
-        assert_eq!(m.fingerprint, fp());
-        // And a binary fingerprint differs from a JSONL one: the
-        // formats must not resume each other.
-        assert_ne!(m.fingerprint, fp().with_format(SegmentFormat::Binary));
+    fn retired_jsonl_manifests_are_refused_with_the_remedy() {
+        // A `"format": "jsonl"` store, and a version-1 manifest written
+        // before the field existed (always a JSONL store).
+        let dir = tmp_dir("jsonl");
+        for format in [r#", "format": "jsonl""#, ""] {
+            let legacy = format!(
+                r#"{{
+                "version": 1,
+                "fingerprint": {{
+                    "master_seed": 7, "from": 1, "to": 100,
+                    "visit_config": "abc", "generator": "gen"{format}
+                }},
+                "segments": []
+            }}"#
+            );
+            std::fs::write(dir.join(MANIFEST_FILE), legacy).unwrap();
+            match Manifest::load(&dir) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("retired JSONL"), "{detail}");
+                    assert!(detail.contains("re-crawl"), "{detail}");
+                }
+                other => panic!("a JSONL manifest must be refused, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -248,11 +319,43 @@ mod tests {
     #[test]
     fn garbage_manifest_is_corrupt() {
         let dir = tmp_dir("bad");
-        std::fs::write(dir.join(MANIFEST_FILE), "{not json").unwrap();
-        assert!(matches!(
-            Manifest::load(&dir),
-            Err(StoreError::Corrupt { .. })
-        ));
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let foreign_name = serde_json::to_string(&Manifest {
+            segments: vec![SegmentMeta {
+                file: "../seg-0.bin".into(),
+                synced_records: 1,
+                max_rank: 1,
+            }],
+            ..Manifest::new(fp())
+        })
+        .unwrap();
+        for bad in [
+            &b"{not json"[..],
+            &b"\xff\xfe"[..],
+            deep.as_bytes(),
+            foreign_name.as_bytes(),
+        ] {
+            std::fs::write(dir.join(MANIFEST_FILE), bad).unwrap();
+            assert!(matches!(
+                Manifest::load(&dir),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_numbers_parse_only_binary_segment_names() {
+        assert_eq!(segment_number("seg-0.bin"), Some(0));
+        assert_eq!(segment_number("seg-12.bin"), Some(12));
+        for bad in [
+            "seg-0.jsonl",
+            "seg-.bin",
+            "seg-+1.bin",
+            "seg-0.idx",
+            "x-0.bin",
+        ] {
+            assert_eq!(segment_number(bad), None, "{bad}");
+        }
     }
 }

@@ -6,13 +6,13 @@
 //! `&[u8]` window over exactly the requested byte range, and a
 //! `munmap` on drop. No crate dependency is taken — the three syscalls
 //! are declared directly — and every failure path degrades to the
-//! existing `pread` readers, so mmap is an optimization, never a
+//! chunk's positioned read, so mmap is an optimization, never a
 //! requirement.
 //!
 //! Mapping granularity is the *chunk*, not the segment: a streaming
 //! fold over a store larger than RAM keeps at most one chunk window
 //! mapped per worker, so resident set stays bounded by
-//! `workers × chunk size` exactly like the buffered readers (mapped
+//! `workers × chunk size` exactly like the positioned reads (mapped
 //! file pages count toward RSS once touched; whole-segment maps would
 //! not stay flat).
 //!
@@ -20,8 +20,11 @@
 //! between this and `pread`. **Invariants:** the returned window
 //! covers exactly `[offset, offset + len)` of the file — page-alignment
 //! slack is trimmed off, so bytes past a chunk's end (including bytes
-//! past the durability watermark) are never part of the decode window;
-//! mappings are read-only (`PROT_READ`) and private. **Entry points:**
+//! past the durability watermark) are never part of the decode window.
+//! Callers keep the range inside the file: a mapped page past EOF
+//! faults with `SIGBUS` on first touch, so the chunk planner checks
+//! every planned range against the file's length. Mappings are
+//! read-only (`PROT_READ`) and private. **Entry points:**
 //! [`Mmap::map_range`], [`Mmap::bytes`].
 
 use std::fs::File;

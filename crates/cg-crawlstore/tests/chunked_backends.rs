@@ -1,11 +1,13 @@
-//! Differential suite for the chunked read path: every [`ReadBackend`]
-//! must produce byte-identical streams at every thread count, the
-//! frame-index sidecar must round-trip and rebuild, and a damaged or
-//! stale sidecar must cost a rescan — never a wrong result.
+//! Differential suite for the chunked read path: mapped windows and
+//! the forced positioned-read fallback must produce byte-identical
+//! streams at every thread count, the frame-index sidecar must
+//! round-trip and rebuild, a damaged or stale sidecar must cost a
+//! rescan — never a wrong result — and a segment shorter than its
+//! manifest watermark must be a typed error, never a fault.
 
-use cg_crawlstore::index::{decode_index, index_file_name, scan_index, INDEX_STRIDE};
+use cg_crawlstore::index::{decode_index, scan_index, INDEX_STRIDE};
 use cg_crawlstore::{
-    par_fold, par_fold_with, plan_chunks, CrawlWriter, Fingerprint, ReadBackend, SegmentFormat,
+    par_fold_with, plan_chunks, CrawlReader, CrawlWriter, Fingerprint, ReadBackend, SegmentFormat,
     StoreError,
 };
 use cg_instrument::VisitLog;
@@ -18,14 +20,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn fp(format: SegmentFormat) -> Fingerprint {
+fn fp() -> Fingerprint {
     Fingerprint {
         master_seed: 1,
         from: 1,
         to: 10_000,
         visit_config: "cfg".into(),
         generator: "gen".into(),
-        format,
+        format: SegmentFormat::Binary,
     }
 }
 
@@ -41,8 +43,8 @@ fn log(rank: usize) -> VisitLog {
 /// Writes `ranks` visits striped over `segments` segment files, so
 /// every segment holds an ascending (but gapped) rank run long enough
 /// to span several index strides.
-fn fill(dir: &Path, format: SegmentFormat, segments: usize, ranks: usize) {
-    let store = CrawlWriter::open(dir, fp(format)).unwrap();
+fn fill(dir: &Path, segments: usize, ranks: usize) {
+    let store = CrawlWriter::open(dir, fp()).unwrap();
     let mut segs: Vec<_> = (0..segments).map(|_| store.segment().unwrap()).collect();
     for rank in 1..=ranks {
         segs[rank % segments].record(&log(rank)).unwrap();
@@ -52,7 +54,8 @@ fn fill(dir: &Path, format: SegmentFormat, segments: usize, ranks: usize) {
     }
 }
 
-const BACKENDS: [ReadBackend; 3] = [ReadBackend::Mmap, ReadBackend::Pread, ReadBackend::Buffered];
+/// The mapped path and its positioned-read fallback, forced.
+const BACKENDS: [ReadBackend; 2] = [ReadBackend::Mmap, ReadBackend::Pread];
 
 /// The full serialized stream per chunk — rank order AND byte-level
 /// `VisitLog` equality in one artifact.
@@ -69,7 +72,7 @@ fn drain(dir: &Path, threads: usize, backend: ReadBackend) -> Vec<Vec<String>> {
 fn all_backends_and_thread_counts_agree() {
     let dir = tmp_dir("diff");
     // 3 segments × ~67 frames: several chunks per segment.
-    fill(&dir, SegmentFormat::Binary, 3, 200);
+    fill(&dir, 3, 200);
     let baseline = drain(&dir, 1, ReadBackend::Pread);
     let total: usize = baseline.iter().map(Vec::len).sum();
     assert_eq!(total, 200);
@@ -84,7 +87,7 @@ fn all_backends_and_thread_counts_agree() {
             assert_eq!(
                 drain(&dir, threads, backend),
                 baseline,
-                "{backend} at {threads} threads diverged"
+                "{backend:?} at {threads} threads diverged"
             );
         }
     }
@@ -94,7 +97,7 @@ fn all_backends_and_thread_counts_agree() {
 #[test]
 fn sidecar_round_trips_and_matches_a_rebuild() {
     let dir = tmp_dir("roundtrip");
-    fill(&dir, SegmentFormat::Binary, 1, 100);
+    fill(&dir, 1, 100);
     let idx_path = dir.join("seg-0.idx");
     assert!(idx_path.exists(), "writer must emit the sidecar at commit");
     let written = decode_index(&std::fs::read(&idx_path).unwrap()).unwrap();
@@ -112,25 +115,17 @@ fn sidecar_round_trips_and_matches_a_rebuild() {
 }
 
 #[test]
-fn missing_sidecar_rebuilds_from_the_segment() {
-    let dir = tmp_dir("bare");
-    fill(&dir, SegmentFormat::Binary, 2, 150);
-    let baseline = drain(&dir, 2, ReadBackend::Mmap);
-    for seg in ["seg-0.bin", "seg-1.bin"] {
-        std::fs::remove_file(dir.join(index_file_name(seg).unwrap())).unwrap();
-    }
-    // Same chunking, same results — old index-less stores just rescan.
-    assert_eq!(drain(&dir, 2, ReadBackend::Mmap), baseline);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn corrupt_or_stale_sidecars_are_refused_not_believed() {
     let dir = tmp_dir("badidx");
-    fill(&dir, SegmentFormat::Binary, 1, 120);
+    fill(&dir, 1, 120);
     let baseline = drain(&dir, 2, ReadBackend::Mmap);
     let idx_path = dir.join("seg-0.idx");
     let good = std::fs::read(&idx_path).unwrap();
+
+    // No sidecar at all (an index-less store): same chunking, same
+    // results from a rescan.
+    std::fs::remove_file(&idx_path).unwrap();
+    assert_eq!(drain(&dir, 2, ReadBackend::Mmap), baseline);
 
     // Bit-flip damage anywhere in the sidecar.
     for at in [0usize, 4, 9, 13, good.len() / 2, good.len() - 1] {
@@ -165,7 +160,7 @@ fn forged_count_sidecar_costs_a_rescan() {
     // version and stride, `count = u32::MAX` over a two-byte body, and a
     // forged (non-cryptographic) checksum to match.
     let dir = tmp_dir("forged");
-    fill(&dir, SegmentFormat::Binary, 1, 120);
+    fill(&dir, 1, 120);
     let baseline = drain(&dir, 2, ReadBackend::Mmap);
     let count = u32::MAX;
     let body = [1u8, 1];
@@ -181,28 +176,7 @@ fn forged_count_sidecar_costs_a_rescan() {
     assert!(decode_index(&forged).is_err());
     std::fs::write(dir.join("seg-0.idx"), &forged).unwrap();
     for backend in BACKENDS {
-        assert_eq!(drain(&dir, 2, backend), baseline, "{backend}");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn torn_tail_and_watermark_rules_hold_on_every_backend() {
-    let dir = tmp_dir("torn");
-    fill(&dir, SegmentFormat::Binary, 1, 80);
-    // Chop bytes off the end: the manifest still promises 80 records,
-    // so every backend must surface Corrupt, not stream a short store.
-    let path = dir.join("seg-0.bin");
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-    for backend in BACKENDS {
-        let result = par_fold_with(&dir, 2, backend, |chunk| {
-            chunk.map(|r| r.map(|_| 1u64)).sum::<Result<u64, _>>()
-        });
-        assert!(
-            matches!(result, Err(StoreError::Corrupt { .. })),
-            "{backend} accepted a store short of its watermark"
-        );
+        assert_eq!(drain(&dir, 2, backend), baseline, "{backend:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -210,7 +184,7 @@ fn torn_tail_and_watermark_rules_hold_on_every_backend() {
 #[test]
 fn mid_file_damage_surfaces_from_chunked_decodes() {
     let dir = tmp_dir("damage");
-    fill(&dir, SegmentFormat::Binary, 1, 90);
+    fill(&dir, 1, 90);
     let path = dir.join("seg-0.bin");
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
@@ -222,57 +196,85 @@ fn mid_file_damage_surfaces_from_chunked_decodes() {
         });
         assert!(
             matches!(result, Err(StoreError::Corrupt { .. })),
-            "{backend} streamed past mid-file damage"
+            "{backend:?} streamed past mid-file damage"
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn jsonl_stores_fold_as_one_chunk_per_segment() {
-    let dir = tmp_dir("jsonl");
-    fill(&dir, SegmentFormat::Jsonl, 3, 60);
-    let via_segments = par_fold(&dir, 2, |s| {
-        s.map(|r| r.map(|l| l.rank)).collect::<Result<Vec<_>, _>>()
-    })
-    .unwrap();
-    for backend in BACKENDS {
-        let via_chunks = par_fold_with(&dir, 2, backend, |c| {
-            c.map(|r| r.map(|l| l.rank)).collect::<Result<Vec<_>, _>>()
+/// Frames of about 40 KB each: a cut of 20,000 bytes lands inside the
+/// last frame's payload, pages past the end of the shortened file.
+fn fill_large_frames(dir: &Path, frames: usize) {
+    let store = CrawlWriter::open(dir, fp()).unwrap();
+    let mut seg = store.segment().unwrap();
+    for rank in 1..=frames {
+        seg.record(&VisitLog {
+            site_domain: format!("{rank}.").repeat(20_000),
+            ..log(rank)
         })
         .unwrap();
-        assert_eq!(via_chunks, via_segments);
     }
-    // But an explicit chunk plan over JSONL is refused, like cursors.
-    assert!(matches!(
-        plan_chunks(&dir),
-        Err(StoreError::Corrupt { detail, .. }) if detail.contains("binary store")
-    ));
+    seg.finish().unwrap();
+}
+
+#[test]
+fn segment_cut_below_its_watermark_is_an_error_not_a_fault() {
+    // The planned chunk end comes from frame headers, which survive the
+    // cut; mapping that range would fault on the unbacked pages past
+    // EOF. The planner must refuse the store before any window exists.
+    let dir = tmp_dir("sigbus");
+    fill_large_frames(&dir, 5);
+    let path = dir.join("seg-0.bin");
+    let bytes = std::fs::read(&path).unwrap();
+    assert!(bytes.len() > 5 * 40_000);
+    std::fs::write(&path, &bytes[..bytes.len() - 20_000]).unwrap();
+    let short = |r: Result<Vec<u64>, StoreError>| match r {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(
+                detail.contains("short of its manifest watermark"),
+                "{detail}"
+            );
+        }
+        other => panic!("a store short of its watermark was accepted: {other:?}"),
+    };
+    for backend in BACKENDS {
+        short(par_fold_with(&dir, 1, backend, |chunk| {
+            chunk.map(|r| r.map(|_| 1u64)).sum::<Result<u64, _>>()
+        }));
+    }
+    short(CrawlReader::open(&dir).map(|_| Vec::new()));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn empty_store_has_an_empty_plan() {
     let dir = tmp_dir("empty");
-    drop(CrawlWriter::open(&dir, fp(SegmentFormat::Binary)).unwrap());
+    drop(CrawlWriter::open(&dir, fp()).unwrap());
     let plan = plan_chunks(&dir).unwrap();
     assert!(plan.is_empty());
     let partials = par_fold_with(&dir, 8, ReadBackend::Mmap, |c| Ok(c.count())).unwrap();
     assert!(partials.is_empty());
+    // Without a manifest there is no store to plan or read.
+    std::fs::remove_file(dir.join(cg_crawlstore::MANIFEST_FILE)).unwrap();
+    assert!(matches!(plan_chunks(&dir), Err(StoreError::Corrupt { .. })));
+    assert!(matches!(
+        CrawlReader::open(&dir),
+        Err(StoreError::Corrupt { .. })
+    ));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn resume_keeps_sidecars_consistent_with_recovery() {
     let dir = tmp_dir("resume");
-    fill(&dir, SegmentFormat::Binary, 1, 70);
+    fill(&dir, 1, 70);
     let baseline = drain(&dir, 1, ReadBackend::Pread);
     // Tear the tail: recovery truncates the last frame AND rewrites the
     // sidecar from its scan.
     let path = dir.join("seg-0.bin");
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    let store = CrawlWriter::open(&dir, fp(SegmentFormat::Binary)).unwrap();
+    let store = CrawlWriter::open(&dir, fp()).unwrap();
     assert_eq!(store.done_ranks().len(), 69);
     drop(store);
     // The surviving prefix streams identically to before the tear.

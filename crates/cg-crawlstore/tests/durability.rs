@@ -8,7 +8,7 @@
 
 use cg_analysis::Dataset;
 use cg_browser::{crawl_into, crawl_range, VisitConfig};
-use cg_crawlstore::{CrawlReader, CrawlWriter, Fingerprint, StoreError, MANIFEST_FILE};
+use cg_crawlstore::{CrawlReader, CrawlWriter, Fingerprint, StoreError};
 use cg_webgen::{GenConfig, WebGenerator};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -30,7 +30,7 @@ fn fingerprint(cfg: &VisitConfig) -> Fingerprint {
     Fingerprint::new(SEED, 1, SITES, cfg, &GenConfig::small(SITES))
 }
 
-/// The store's canonical content: merged, rank-ordered raw JSONL.
+/// The store's canonical content: merged, rank-ordered JSON lines.
 fn merged_stream(dir: &PathBuf) -> String {
     let mut out = String::new();
     for line in CrawlReader::open(dir).expect("open for merge").raw_lines() {
@@ -63,12 +63,13 @@ fn resumed_store_is_byte_identical_to_uninterrupted() {
     crawl_into(&gen, &cfg, 1, 20, 2, &store_b).unwrap();
     crawl_into(&gen, &cfg, 30, 40, 2, &store_b).unwrap();
     drop(store_b);
-    // …with the crash leaving half a record at the end of a segment.
+    // …with the crash leaving half a frame at the end of a segment: a
+    // header promising rank 999 and a payload that never hit the disk.
     let mut f = std::fs::OpenOptions::new()
         .append(true)
-        .open(dir_b.join("seg-0.jsonl"))
+        .open(dir_b.join("seg-0.bin"))
         .unwrap();
-    f.write_all(b"{\"site_domain\":\"torn.example\",\"rank\":999")
+    f.write_all(b"\x40\x00\x00\x00\xe7\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00half")
         .unwrap();
     drop(f);
 
@@ -89,7 +90,7 @@ fn resumed_store_is_byte_identical_to_uninterrupted() {
         "resume must skip done ranks"
     );
 
-    // The two stores' rank-ordered JSONL streams are byte-identical.
+    // The two stores' rank-ordered JSON line streams are byte-identical.
     let a = merged_stream(&dir_a);
     let b = merged_stream(&dir_b);
     assert!(!a.is_empty());
@@ -97,47 +98,6 @@ fn resumed_store_is_byte_identical_to_uninterrupted() {
 
     std::fs::remove_dir_all(&dir_a).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();
-}
-
-#[test]
-fn torn_tail_truncation_restores_watermark() {
-    let gen = generator();
-    let cfg = VisitConfig::regular();
-    let dir = tmp_dir("torn-watermark");
-    let store = CrawlWriter::open(&dir, fingerprint(&cfg))
-        .unwrap()
-        .with_batch(3);
-    crawl_into(&gen, &cfg, 1, 10, 1, &store).unwrap();
-    drop(store);
-
-    let seg = dir.join("seg-0.jsonl");
-    let clean_len = std::fs::metadata(&seg).unwrap().len();
-    let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
-    f.write_all(b"garbage without a newline").unwrap();
-    drop(f);
-
-    let store = CrawlWriter::open(&dir, fingerprint(&cfg)).unwrap();
-    assert_eq!(
-        std::fs::metadata(&seg).unwrap().len(),
-        clean_len,
-        "torn tail must be truncated back to the last good record"
-    );
-    assert_eq!(store.done_ranks().len(), 10);
-    drop(store);
-
-    // The manifest watermark agrees with the surviving records.
-    let manifest: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap()).unwrap();
-    let synced: u64 = manifest
-        .get("segments")
-        .and_then(|s| s.as_array().cloned())
-        .unwrap()
-        .iter()
-        .map(|s| s.get("synced_records").and_then(|v| v.as_u64()).unwrap())
-        .sum();
-    assert_eq!(synced, 10);
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

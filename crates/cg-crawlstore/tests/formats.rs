@@ -1,16 +1,19 @@
-//! Cross-format differential tests: the binary segment format must be
-//! an *invisible* substitution for JSONL — same crawl in, same
-//! statistics out, same recovery behaviour under a kill — and the
-//! parallel per-segment fold must be an invisible substitution for the
+//! The store's readable form and its format contract: the JSON lines a
+//! store renders (`CrawlReader::raw_lines`, what `cg-experiments dump`
+//! prints) equal the in-memory crawl's serialization, stores in the
+//! retired JSONL format are refused without a byte of them changing,
+//! and the parallel fold is an invisible substitution for the
 //! sequential one.
 
 use cg_analysis::{Dataset, StreamStats};
-use cg_browser::VisitConfig;
+use cg_browser::{crawl_range, VisitConfig};
 use cg_crawlstore::{
-    crawl_to_store_with, open_store_with, CrawlReader, ReadBackend, SegmentFormat, StoreError,
+    crawl_to_store, open_store, par_fold_with, plan_chunks, CrawlReader, CrawlWriter, Fingerprint,
+    ReadBackend, StoreError, MANIFEST_FILE,
 };
 use cg_webgen::{GenConfig, WebGenerator};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 const SEED: u64 = 0xC00C1E;
 const SITES: usize = 80;
@@ -25,159 +28,146 @@ fn generator() -> WebGenerator {
     WebGenerator::new(GenConfig::small(SITES), SEED)
 }
 
-fn crawl(dir: &PathBuf, format: SegmentFormat, threads: usize) {
+fn crawl(dir: &Path, threads: usize) {
     let gen = generator();
     let cfg = VisitConfig::regular();
-    crawl_to_store_with(dir, &gen, &cfg, 1, SITES, threads, format, |_| {}).unwrap();
+    crawl_to_store(dir, &gen, &cfg, 1, SITES, threads, |_| {}).unwrap();
 }
 
-/// The same crawl stored in both formats replays identically: same
-/// rank stream, same reserialized JSON lines, same retained-dataset
-/// and streaming statistics, byte for byte.
-#[test]
-fn binary_and_jsonl_stores_are_equivalent() {
-    let dir_j = tmp_dir("equiv-jsonl");
-    let dir_b = tmp_dir("equiv-bin");
-    crawl(&dir_j, SegmentFormat::Jsonl, 3);
-    crawl(&dir_b, SegmentFormat::Binary, 4);
-
-    // Rank streams agree.
-    let ranks = |dir: &PathBuf| {
-        CrawlReader::open(dir)
-            .unwrap()
-            .map(|r| r.unwrap().rank)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(ranks(&dir_j), ranks(&dir_b));
-    assert_eq!(ranks(&dir_j), (1..=SITES).collect::<Vec<_>>());
-
-    // Canonical JSONL reprints agree line-for-line (binary decodes and
-    // reserializes through the same serde path).
-    let lines = |dir: &PathBuf| {
-        CrawlReader::open(dir)
-            .unwrap()
-            .raw_lines()
-            .map(|l| l.unwrap())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(lines(&dir_j), lines(&dir_b));
-
-    // Retained datasets and streaming aggregates agree byte-for-byte.
-    let ds_j = Dataset::from_reader(CrawlReader::open(&dir_j).unwrap()).unwrap();
-    let ds_b = Dataset::from_reader(CrawlReader::open(&dir_b).unwrap()).unwrap();
-    assert_eq!(ds_j.crawled, ds_b.crawled);
-    assert_eq!(
-        serde_json::to_string(&ds_j.logs).unwrap(),
-        serde_json::to_string(&ds_b.logs).unwrap()
-    );
-    let ss_j = StreamStats::from_store(&dir_j, 1).unwrap();
-    let ss_b = StreamStats::from_store(&dir_b, 1).unwrap();
-    assert_eq!(
-        serde_json::to_string(&ss_j).unwrap(),
-        serde_json::to_string(&ss_b).unwrap()
-    );
-
-    // Binary stores the same crawl in fewer bytes.
-    let bytes = |dir: &PathBuf, ext: &str| {
-        std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(ext))
-            .map(|e| e.metadata().unwrap().len())
-            .sum::<u64>()
-    };
-    assert!(bytes(&dir_b, ".bin") < bytes(&dir_j, ".jsonl"));
-
-    std::fs::remove_dir_all(&dir_j).unwrap();
-    std::fs::remove_dir_all(&dir_b).unwrap();
-}
-
-/// A binary store killed mid-crawl (torn trailing frame) resumes to the
-/// same merged stream as an uninterrupted binary crawl — the JSONL
-/// durability contract, verbatim.
-#[test]
-fn binary_store_survives_kill_and_resume() {
-    let gen = generator();
-    let cfg = VisitConfig::regular();
-
-    let dir_ref = tmp_dir("kill-ref");
-    crawl(&dir_ref, SegmentFormat::Binary, 2);
-
-    // Victim: crawl a prefix, then tear the tail of a segment the way a
-    // kill -9 between write() and fsync does.
-    let dir = tmp_dir("kill-victim");
-    {
-        let store = open_store_with(&dir, &gen, &cfg, 1, SITES, SegmentFormat::Binary).unwrap();
-        cg_browser::crawl_into(&gen, &cfg, 1, SITES / 2, 2, &store).unwrap();
-    }
-    let seg = std::fs::read_dir(&dir)
+/// The store's rank-ordered JSON lines — what `cg-experiments dump`
+/// prints.
+fn dump(dir: &Path) -> Vec<String> {
+    CrawlReader::open(dir)
         .unwrap()
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().ends_with(".bin"))
-        .expect("a binary segment exists")
-        .path();
-    let mut bytes = std::fs::read(&seg).unwrap();
-    let torn_len = bytes.len() - 7; // mid-frame: not even a full header boundary
-    bytes.truncate(torn_len);
-    // Append garbage past the watermark too — both shapes must vanish.
-    bytes.extend_from_slice(&[0xde, 0xad]);
-    std::fs::write(&seg, &bytes).unwrap();
-
-    // Resume with a different worker count and finish the range.
-    let store = open_store_with(&dir, &gen, &cfg, 1, SITES, SegmentFormat::Binary).unwrap();
-    let done = store.done_ranks().len();
-    assert!(done < SITES, "the kill lost work to redo");
-    cg_browser::crawl_into(&gen, &cfg, 1, SITES, 5, &store).unwrap();
-    drop(store);
-
-    let merged = |d: &PathBuf| {
-        CrawlReader::open(d)
-            .unwrap()
-            .raw_lines()
-            .map(|l| l.unwrap())
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(merged(&dir), merged(&dir_ref));
-
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&dir_ref).unwrap();
+        .raw_lines()
+        .map(|l| l.unwrap())
+        .collect()
 }
 
-/// Opening a binary store with a JSONL fingerprint (or vice versa) is a
-/// fingerprint mismatch, not silent mixed-format corruption.
+/// The dump of a crawled store is the in-memory crawl's serialization,
+/// line for line, whatever the crawl's worker count (and so its
+/// segment layout).
 #[test]
-fn cross_format_resume_is_refused() {
-    let dir = tmp_dir("cross");
-    crawl(&dir, SegmentFormat::Binary, 2);
+fn dump_equals_in_memory_crawl() {
+    let (outcomes, _) = crawl_range(&generator(), &VisitConfig::regular(), 1, SITES, 2);
+    let expected: Vec<String> = outcomes
+        .iter()
+        .map(|o| serde_json::to_string(&o.log).unwrap())
+        .collect();
+    assert_eq!(expected.len(), SITES);
+    for threads in [1, 4] {
+        let dir = tmp_dir(&format!("dump-{threads}"));
+        crawl(&dir, threads);
+        assert_eq!(dump(&dir), expected, "{threads} crawl threads");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Every file under `dir`, name → bytes.
+fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().into_string().unwrap(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A store in the retired JSONL format — a two-record store as the old
+/// writer left it — is refused by every entry point with a typed error
+/// that names the format and the remedy, and no refused open changes,
+/// adds or removes a file (writer recovery must not "repair" it).
+#[test]
+fn retired_jsonl_store_is_refused_untouched() {
     let gen = generator();
     let cfg = VisitConfig::regular();
-    let Err(err) = open_store_with(&dir, &gen, &cfg, 1, SITES, SegmentFormat::Jsonl) else {
-        panic!("cross-format resume must be refused");
+    let dir = tmp_dir("jsonl");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fp = Fingerprint::new(SEED, 1, SITES, &cfg, gen.config());
+    let manifest = format!(
+        r#"{{
+  "version": 1,
+  "fingerprint": {{
+    "master_seed": {SEED},
+    "from": 1,
+    "to": {SITES},
+    "visit_config": "{}",
+    "generator": "{}",
+    "format": "jsonl"
+  }},
+  "segments": [
+    {{
+      "file": "seg-0.jsonl",
+      "synced_records": 2,
+      "max_rank": 2
+    }}
+  ]
+}}
+"#,
+        fp.visit_config, fp.generator
+    );
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+    // The second line is torn, as a crash would leave it: exactly what
+    // the old recovery scan would have truncated.
+    std::fs::write(
+        dir.join("seg-0.jsonl"),
+        "{\"site_domain\":\"a.example\",\"rank\":1,\"complete\":true}\n\
+         {\"site_domain\":\"b.example\",\"rank\":2,\"comp",
+    )
+    .unwrap();
+    let before = snapshot(&dir);
+
+    let refused = |what: &str, result: Result<(), StoreError>| {
+        match result {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("retired JSONL"), "{what}: {detail}");
+                assert!(detail.contains("re-crawl"), "{what}: {detail}");
+            }
+            other => panic!("{what} accepted a JSONL store: {other:?}"),
+        }
+        assert_eq!(snapshot(&dir), before, "{what} changed the store's files");
     };
-    assert!(matches!(err, StoreError::FingerprintMismatch { .. }));
+    refused("CrawlReader::open", CrawlReader::open(&dir).map(drop));
+    refused(
+        "open_store",
+        open_store(&dir, &gen, &cfg, 1, SITES).map(drop),
+    );
+    refused("CrawlWriter::open", CrawlWriter::open(&dir, fp).map(drop));
+    refused("plan_chunks", plan_chunks(&dir).map(drop));
+    refused(
+        "par_fold_with",
+        par_fold_with(&dir, 2, ReadBackend::Mmap, |c| Ok(c.count())).map(drop),
+    );
+    refused(
+        "StreamStats::from_store",
+        StreamStats::from_store(&dir, 1).map(drop),
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Parallel per-segment folds are byte-identical to sequential ones at
-/// every thread count, through every read backend, for both the
-/// streaming and the retained mode.
+/// Parallel chunked folds are byte-identical to sequential ones at
+/// every thread count, through the mapped path and its forced
+/// positioned-read fallback, for both the streaming and the retained
+/// mode.
 #[test]
 fn parallel_fold_equals_sequential_fold() {
     let dir = tmp_dir("parfold");
-    crawl(&dir, SegmentFormat::Binary, 6); // several segments
+    crawl(&dir, 6); // several segments
 
     let seq_stats = serde_json::to_string(&StreamStats::from_store(&dir, 1).unwrap()).unwrap();
     let seq_ds = Dataset::from_store(&dir, 1).unwrap();
     let seq_logs = serde_json::to_string(&seq_ds.logs).unwrap();
 
-    // Sequential over par_fold(threads=1) equals a plain reader fold.
+    // A sequential fold equals a plain reader fold.
     let reader_ds = Dataset::from_reader(CrawlReader::open(&dir).unwrap()).unwrap();
     assert_eq!(seq_logs, serde_json::to_string(&reader_ds.logs).unwrap());
     assert_eq!(seq_ds.crawled, reader_ds.crawled);
 
-    let backends = [ReadBackend::Mmap, ReadBackend::Pread, ReadBackend::Buffered];
-    for backend in backends {
+    for backend in [ReadBackend::Mmap, ReadBackend::Pread] {
         for threads in [1, 2, 8] {
             let par_stats = serde_json::to_string(
                 &StreamStats::from_store_with(&dir, threads, backend).unwrap(),
@@ -185,13 +175,13 @@ fn parallel_fold_equals_sequential_fold() {
             .unwrap();
             assert_eq!(
                 par_stats, seq_stats,
-                "StreamStats via {backend} at {threads} threads"
+                "StreamStats via {backend:?} at {threads} threads"
             );
             let par_ds = Dataset::from_store_with(&dir, threads, backend).unwrap();
             assert_eq!(
                 serde_json::to_string(&par_ds.logs).unwrap(),
                 seq_logs,
-                "Dataset via {backend} at {threads} threads"
+                "Dataset via {backend:?} at {threads} threads"
             );
             assert_eq!(par_ds.crawled, seq_ds.crawled);
         }

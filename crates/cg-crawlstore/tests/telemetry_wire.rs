@@ -4,7 +4,7 @@
 //! the segment writer; they must not perturb what it writes.
 
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, CrawlReader, SegmentFormat};
+use cg_crawlstore::{crawl_to_store, CrawlReader};
 use cg_webgen::{GenConfig, WebGenerator};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -18,22 +18,22 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn crawl(dir: &Path, format: SegmentFormat, threads: usize) {
+fn crawl(dir: &Path, threads: usize) {
     let gen = WebGenerator::new(GenConfig::small(SITES), SEED);
-    crawl_to_store_with(
+    crawl_to_store(
         dir,
         &gen,
         &VisitConfig::regular(),
         1,
         SITES,
         threads,
-        format,
         |_| {},
     )
     .unwrap();
 }
 
-/// Every `seg-*` file in `dir`, name → raw bytes.
+/// Every `seg-*` file (segments and index sidecars) in `dir`, name →
+/// raw bytes.
 fn segment_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
@@ -64,32 +64,32 @@ fn raw_lines(dir: &Path) -> Vec<String> {
 fn stores_are_byte_identical_with_telemetry_on_and_off() {
     // Single-threaded runs: rank→segment assignment is deterministic,
     // so the segment *files* themselves must match byte for byte.
-    let on_j = tmp_dir("on-jsonl");
-    crawl(&on_j, SegmentFormat::Jsonl, 1);
+    let on_1 = tmp_dir("on-1");
+    crawl(&on_1, 1);
     // Multi-threaded runs: segment contents depend on work claiming,
     // but the merged record stream is the wire contract.
-    let on_b = tmp_dir("on-bin");
-    crawl(&on_b, SegmentFormat::Binary, 3);
+    let on_3 = tmp_dir("on-3");
+    crawl(&on_3, 3);
 
     cg_telemetry::global().set_enabled(false);
-    let off_j = tmp_dir("off-jsonl");
-    crawl(&off_j, SegmentFormat::Jsonl, 1);
-    let off_b = tmp_dir("off-bin");
-    crawl(&off_b, SegmentFormat::Binary, 3);
+    let off_1 = tmp_dir("off-1");
+    crawl(&off_1, 1);
+    let off_3 = tmp_dir("off-3");
+    crawl(&off_3, 3);
     cg_telemetry::global().set_enabled(true);
 
     assert_eq!(
-        segment_bytes(&on_j),
-        segment_bytes(&off_j),
-        "telemetry changed the bytes a JSONL segment writer produced"
+        segment_bytes(&on_1),
+        segment_bytes(&off_1),
+        "telemetry changed the bytes the segment writer produced"
     );
     assert_eq!(
-        raw_lines(&on_b),
-        raw_lines(&off_b),
-        "telemetry changed the binary store's merged record stream"
+        raw_lines(&on_3),
+        raw_lines(&off_3),
+        "telemetry changed the store's merged record stream"
     );
 
-    for dir in [on_j, on_b, off_j, off_b] {
+    for dir in [on_1, on_3, off_1, off_3] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

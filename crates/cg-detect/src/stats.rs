@@ -289,8 +289,9 @@ impl<'e> DetectStats<'e> {
     }
 
     /// Absorbs another partial folded under the same engine.
-    /// Associative and commutative; `par_fold` still merges in fixed
-    /// segment order so the whole pipeline is deterministic.
+    /// Associative and commutative; `par_fold_with` still returns the
+    /// partials in fixed chunk order so the whole pipeline is
+    /// deterministic.
     pub fn merge(mut self, other: DetectStats<'e>) -> DetectStats<'e> {
         self.crawled += other.crawled;
         self.complete += other.complete;
@@ -340,7 +341,7 @@ impl<'e> DetectStats<'e> {
     }
 
     /// Streams the store at `dir` with up to `threads` parallel
-    /// per-chunk folds, default read backend.
+    /// per-chunk folds over mmap'd windows.
     pub fn from_store(
         engine: &'e DetectEngine,
         stages: Stages,
@@ -350,8 +351,8 @@ impl<'e> DetectStats<'e> {
         DetectStats::from_store_with(engine, stages, dir, threads, ReadBackend::default())
     }
 
-    /// [`DetectStats::from_store`] with an explicit [`ReadBackend`].
-    /// All backends and thread counts produce byte-identical reports.
+    /// [`DetectStats::from_store`] naming the [`ReadBackend`]. Every
+    /// thread count produces a byte-identical report.
     pub fn from_store_with(
         engine: &'e DetectEngine,
         stages: Stages,

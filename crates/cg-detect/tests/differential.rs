@@ -12,7 +12,7 @@
 //!   was never observed as labeled — no silent drops either way.
 
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store, par_fold_with, ReadBackend};
+use cg_crawlstore::{crawl_to_store, CrawlReader, ReadBackend};
 use cg_detect::{DetectConfig, DetectEngine, DetectReport, DetectStats, Stages};
 use cg_instrument::VisitLog;
 use cg_webgen::{CookieLabels, GenConfig, WebGenerator};
@@ -47,13 +47,10 @@ fn crawl() -> &'static Crawl {
             cg_entity::builtin_entity_map(),
             DetectConfig::default(),
         );
-        let logs: Vec<VisitLog> = par_fold_with(&dir, 1, ReadBackend::Buffered, |chunk| {
-            chunk.collect::<Result<Vec<_>, _>>()
-        })
-        .expect("drain store")
-        .into_iter()
-        .flatten()
-        .collect();
+        let logs: Vec<VisitLog> = CrawlReader::open(&dir)
+            .expect("open store")
+            .collect::<Result<_, _>>()
+            .expect("drain store");
         assert_eq!(logs.len(), SITES, "store holds the whole crawl");
         Crawl { dir, engine, logs }
     })

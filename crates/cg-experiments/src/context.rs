@@ -2,7 +2,7 @@
 
 use cg_analysis::Dataset;
 use cg_browser::{crawl_range, VisitConfig};
-use cg_crawlstore::{crawl_to_store_with, ReadBackend, SegmentFormat};
+use cg_crawlstore::crawl_to_store;
 use cg_entity::EntityMap;
 use cg_filterlist::FilterEngine;
 use cg_webgen::{GenConfig, WebGenerator};
@@ -20,14 +20,6 @@ pub struct ExperimentOptions {
     /// `cg_crawlstore` store at this directory and resumes from it when
     /// it already holds completed ranks (`--store DIR`).
     pub store: Option<std::path::PathBuf>,
-    /// Segment format for `--store` crawls (`--store-format
-    /// jsonl|binary`). Binary is the replay fast path for large crawls;
-    /// the two formats produce byte-identical analyses.
-    pub store_format: SegmentFormat,
-    /// How store replays and folds read segment bytes
-    /// (`--read-backend mmap|pread|buffered`). Every backend produces
-    /// byte-identical results; mmap is the zero-copy default.
-    pub read_backend: ReadBackend,
     /// Store size for the storebench fold benchmark (`--fold-sites N`).
     /// Defaults to `max(sites, 10_000)` — parallel-fold speedups are
     /// meaningless on stores that fold in single-digit milliseconds.
@@ -41,8 +33,6 @@ impl Default for ExperimentOptions {
             seed: 0xC00C1E,
             threads: num_threads(),
             store: None,
-            store_format: SegmentFormat::Jsonl,
-            read_backend: ReadBackend::default(),
             fold_sites: None,
         }
     }
@@ -94,14 +84,13 @@ impl CrawlContext {
                 // Durable path: write-through store, resumed when the
                 // directory already holds this crawl's fingerprint, then
                 // a streaming rank-ordered replay into the dataset.
-                let run = crawl_to_store_with(
+                let run = crawl_to_store(
                     dir,
                     &gen,
                     &visit_cfg,
                     1,
                     opts.sites,
                     opts.threads,
-                    opts.store_format,
                     |store| {
                         let resumed = store.done_ranks().len();
                         if resumed > 0 {
@@ -113,27 +102,24 @@ impl CrawlContext {
                 )
                 .unwrap_or_else(|e| panic!("crawl store {}: {e}", dir.display()));
                 eprintln!(
-                    "[store] {} records across {} segments, {} bytes ({}); \
+                    "[store] {} records across {} segments, {} bytes; \
                      wrote {} visits at {:.0} visits/s",
                     run.stats.records,
                     run.stats.segments,
                     run.stats.bytes,
-                    opts.store_format,
                     run.summary.visited,
                     run.summary.visits_per_sec(),
                 );
                 let watch = cg_telemetry::Stopwatch::start();
-                // Chunk-granular parallel replay through the chosen read
-                // backend — byte-identical to a sequential CrawlReader
-                // drain at any thread count.
-                let dataset = Dataset::from_store_with(dir, opts.threads, opts.read_backend)
+                // Chunk-granular parallel replay — byte-identical to a
+                // sequential CrawlReader drain at any thread count.
+                let dataset = Dataset::from_store(dir, opts.threads)
                     .unwrap_or_else(|e| panic!("replaying crawl store {}: {e}", dir.display()));
                 let replay_ms = watch.elapsed_ms();
                 eprintln!(
-                    "[store] replayed {} visits via {} in {} \
+                    "[store] replayed {} visits in {} \
                      ({:.0} visits/s, {:.1} MB/s); peak RSS {:.1} MB",
                     dataset.crawled,
-                    opts.read_backend,
                     cg_telemetry::render_ms(replay_ms),
                     cg_telemetry::per_sec(dataset.crawled as u64, replay_ms),
                     cg_telemetry::per_sec(run.stats.bytes, replay_ms) / 1e6,

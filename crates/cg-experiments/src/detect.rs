@@ -20,7 +20,7 @@
 
 use crate::storebench::peak_rss_bytes;
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, par_fold_with, ReadBackend, SegmentFormat};
+use cg_crawlstore::{crawl_to_store, CrawlReader, ReadBackend};
 use cg_detect::{DetectConfig, DetectEngine, DetectReport, DetectStats, Stages};
 use cg_instrument::VisitLog;
 use cg_webgen::{CookieLabels, GenConfig, WebGenerator};
@@ -147,17 +147,8 @@ pub fn run_detect(opts: &DetectOptions) -> DetectBenchReport {
         opts.sites,
         dir.display()
     );
-    let run = crawl_to_store_with(
-        &dir,
-        &gen,
-        &visit_cfg,
-        1,
-        opts.sites,
-        opts.threads,
-        SegmentFormat::Binary,
-        |_| {},
-    )
-    .unwrap_or_else(|e| panic!("crawl store {}: {e}", dir.display()));
+    let run = crawl_to_store(&dir, &gen, &visit_cfg, 1, opts.sites, opts.threads, |_| {})
+        .unwrap_or_else(|e| panic!("crawl store {}: {e}", dir.display()));
     eprintln!(
         "[detect] store: {} records, {} bytes",
         run.stats.records, run.stats.bytes
@@ -169,14 +160,10 @@ pub fn run_detect(opts: &DetectOptions) -> DetectBenchReport {
         DetectConfig::default(),
     );
 
-    // Resident copy, in store order.
-    let logs: Vec<VisitLog> = par_fold_with(&dir, 1, ReadBackend::Buffered, |chunk| {
-        chunk.collect::<Result<Vec<_>, _>>()
-    })
-    .unwrap_or_else(|e| panic!("store drain: {e}"))
-    .into_iter()
-    .flatten()
-    .collect();
+    // Resident copy, in rank order.
+    let logs: Vec<VisitLog> = CrawlReader::open(&dir)
+        .and_then(|reader| reader.collect())
+        .unwrap_or_else(|e| panic!("store drain: {e}"));
     let visits = logs.len() as u64;
 
     let t = Instant::now();

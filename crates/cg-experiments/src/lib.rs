@@ -8,11 +8,12 @@
 //! explicit-only `ablation`, `rollout`, `baselines` (the defense
 //! matrix: blocklist ± evasion, partitioning, CookieGraph-lite,
 //! CookieGuard), and `csp` (the §2.1 CSP gap). Scale with `--sites N`
-//! (default 20,000) and `--threads T`. Three subcommands ride
+//! (default 20,000) and `--threads T`. Four subcommands ride
 //! alongside: `scenarios` (the adversarial catalog), `serve` (the
 //! multi-tenant guard-service benchmark behind `BENCH_service.json`),
-//! and `detect` (the tracking-cookie detector scored against generator
-//! ground truth, behind `BENCH_detect.json`).
+//! `detect` (the tracking-cookie detector scored against generator
+//! ground truth, behind `BENCH_detect.json`), and `dump` (a crawl store
+//! printed as one JSON line per visit).
 //!
 //! **Layer:** orchestration (the CLI over every other crate).
 //! **Invariant:** experiment output is deterministic for a given

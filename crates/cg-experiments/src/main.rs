@@ -4,6 +4,7 @@
 //! cg-experiments --exp all --sites 20000 --threads 8 --seed 12648430
 //! cg-experiments --exp table1,fig2
 //! cg-experiments --exp table4 --sites 20000 --json out.json
+//! cg-experiments dump crawl-dir > visits.jsonl
 //! ```
 
 use cg_experiments::{
@@ -273,8 +274,40 @@ fn run_detect_cli(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// Runs `cg-experiments dump DIR`: prints the crawl store at DIR as one
+/// compact JSON line per visit, rank-ordered — the readable form of its
+/// binary segments (`CrawlReader::raw_lines`).
+fn run_dump_cli(args: &[String]) -> ! {
+    use std::io::Write;
+    let [dir] = args else {
+        eprintln!("dump takes one store directory; see --help");
+        std::process::exit(2);
+    };
+    let result = cg_crawlstore::CrawlReader::open(dir)
+        .map_err(std::io::Error::from)
+        .and_then(|reader| {
+            let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+            for line in reader.raw_lines() {
+                writeln!(out, "{}", line?)?;
+            }
+            out.flush()
+        });
+    match result {
+        Ok(()) => std::process::exit(0),
+        // A closed pipe (`dump DIR | head`) is the reader's choice.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("dump {dir}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some("dump") {
+        run_dump_cli(&args[2..]);
+    }
     if args.get(1).map(String::as_str) == Some("scenarios") {
         run_scenarios_cli(&args[2..]);
     }
@@ -324,30 +357,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 }
-            }
-            "--store-format" => {
-                i += 1;
-                opts.store_format = match args.get(i).map(String::as_str) {
-                    Some("jsonl") => cg_crawlstore::SegmentFormat::Jsonl,
-                    Some("binary") => cg_crawlstore::SegmentFormat::Binary,
-                    other => {
-                        eprintln!("--store-format must be jsonl or binary, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--read-backend" => {
-                i += 1;
-                opts.read_backend = match args.get(i) {
-                    Some(name) => name.parse().unwrap_or_else(|e| {
-                        eprintln!("{e}; see --help");
-                        std::process::exit(2);
-                    }),
-                    None => {
-                        eprintln!("--read-backend requires mmap, pread, or buffered; see --help");
-                        std::process::exit(2);
-                    }
-                };
             }
             "--fold-sites" => {
                 i += 1;
@@ -494,8 +503,8 @@ fn main() {
     }
 
     if wants("storebench") && !wanted.contains(&"all") {
-        // Explicit-only: two extra crawls plus timed replays/folds.
-        eprintln!("[storebench] crawl-store throughput (jsonl vs binary)…");
+        // Explicit-only: an extra crawl plus timed replays/folds.
+        eprintln!("[storebench] crawl-store throughput…");
         let r = run_storebench(&opts);
         print_storebench(&r);
         if let Some(path) = &bench_json_path {
@@ -529,8 +538,7 @@ fn print_help() {
     println!();
     println!(
         "USAGE: cg-experiments [--exp LIST] [--sites N] [--seed S] [--threads T] [--json PATH] \
-         [--store DIR] [--store-format jsonl|binary] [--read-backend mmap|pread|buffered] \
-         [--fold-sites N] [--bench-json PATH]"
+         [--store DIR] [--fold-sites N] [--bench-json PATH]"
     );
     println!(
         "       cg-experiments scenarios [--seed S] [--threads T] [--json PATH] [--golden PATH]"
@@ -543,6 +551,7 @@ fn print_help() {
         "       cg-experiments detect [--sites N] [--seed S] [--threads T] [--store DIR] \
          [--bench-json PATH] [--report-json PATH]"
     );
+    println!("       cg-experiments dump DIR");
     println!();
     println!("The `scenarios` subcommand runs the adversarial scenario catalog");
     println!("(crate cg-scenarios) under vanilla + CookieGuard variants + baseline");
@@ -562,12 +571,16 @@ fn print_help() {
     println!();
     println!("The `detect` subcommand scores the first-party tracking-cookie");
     println!("detector (crate cg-detect) against generator ground truth on a");
-    println!("fresh CNAME-resolving crawl written through a binary store: it");
+    println!("fresh CNAME-resolving crawl written through a crawl store: it");
     println!("asserts streaming/resident reports byte-identical across thread");
-    println!("counts and read backends, enforces the precision/recall floors");
+    println!("counts and read paths, enforces the precision/recall floors");
     println!("(0.95/0.90, instance-weighted), prints the scoring table and the");
     println!("guard-vs-detector matrix, and with --bench-json writes the");
     println!("machine-readable report (BENCH_detect.json).");
+    println!();
+    println!("The `dump` subcommand prints the crawl store at DIR as one JSON");
+    println!("line per visit, rank-ordered — the readable form of its binary");
+    println!("segments.");
     println!();
     println!("Experiments (comma-separated, default 'all'):");
     println!("  measurement: {}", MEASUREMENT_EXPERIMENTS.join(", "));
@@ -575,16 +588,12 @@ fn print_help() {
     println!();
     println!("--store DIR writes the measurement crawl through a durable,");
     println!("segmented on-disk store (checkpoint/resume: a killed crawl");
-    println!("rerun with the same seed/sites finishes only the missing ranks);");
-    println!("--store-format binary selects the compact framed format — the");
-    println!("replay fast path for large crawls, byte-identical analyses.");
-    println!("--read-backend picks how replays and folds read segment bytes:");
-    println!("mmap (zero-copy chunk windows, the default), pread, or buffered —");
-    println!("all three produce byte-identical results.");
+    println!("rerun with the same seed/sites finishes only the missing ranks),");
+    println!("replayed through zero-copy mmap'd chunk windows.");
     println!();
-    println!("--exp storebench benchmarks the store (write/replay throughput");
-    println!("per format incl. mmap'd chunked replay, 1-vs-8-thread chunked");
-    println!("fold wall time per backend over a ≥10k-visit fold store");
+    println!("--exp storebench benchmarks the store (write throughput, merged");
+    println!("and chunked replay throughput, 1-vs-8-thread chunked fold wall");
+    println!("time over a ≥10k-visit fold store");
     println!("(--fold-sites overrides), peak RSS) and with --bench-json PATH");
     println!("writes the machine-readable report (BENCH_crawlstore.json).");
 }

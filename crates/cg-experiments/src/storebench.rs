@@ -1,11 +1,11 @@
 //! `--exp storebench`: the crawl-store throughput report behind
 //! `BENCH_crawlstore.json`.
 //!
-//! One crawl, written through both segment formats, then replayed and
-//! folded under timing: visits/s written, MB/s + visits/s replayed
-//! (JSONL vs binary vs mmap'd chunked binary), chunk-granular
-//! parallel-fold wall time at 1 and 8 threads through the mmap and
-//! pread backends, and the process peak RSS. The fold benchmark runs
+//! One crawl, written through the store, then replayed and folded under
+//! timing: visits/s written, MB/s + visits/s replayed (the rank-ordered
+//! merge and the 1-thread chunked drain), chunk-granular parallel-fold
+//! wall time at 1 and 8 threads, and the process peak RSS. The fold
+//! benchmark runs
 //! over a store of at least [`FOLD_SITES_FLOOR`] visits (its own crawl
 //! when `--sites` is smaller, overridable with `--fold-sites`) —
 //! speedups measured on stores that fold in single-digit milliseconds
@@ -16,7 +16,7 @@
 use crate::context::ExperimentOptions;
 use cg_analysis::{StreamStats, StreamSummary};
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, plan_chunks, CrawlReader, ReadBackend, SegmentFormat};
+use cg_crawlstore::{crawl_to_store, plan_chunks, CrawlReader, ReadBackend};
 use cg_telemetry::{per_sec, render_ms, Stopwatch};
 use cg_webgen::{GenConfig, WebGenerator};
 use serde::Serialize;
@@ -42,7 +42,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// One format's write-side measurements.
+/// Write-side measurements.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct WriteSide {
     /// Visits written this run.
@@ -57,7 +57,7 @@ pub struct WriteSide {
     pub bytes_per_visit: f64,
 }
 
-/// One format's replay-side measurements (full rank-ordered drain).
+/// Replay-side measurements (one full drain of the store).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ReplaySide {
     /// Visits decoded.
@@ -72,17 +72,6 @@ pub struct ReplaySide {
     pub mb_per_sec: f64,
 }
 
-/// One read backend's fold wall times.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct BackendFold {
-    /// Sequential (1-thread) streaming fold, milliseconds.
-    pub threads_1_ms: u64,
-    /// 8-thread streaming fold, milliseconds.
-    pub threads_8_ms: u64,
-    /// `threads_1_ms / threads_8_ms`.
-    pub speedup: f64,
-}
-
 /// Chunk-granular parallel-fold measurements over the fold store.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct FoldSide {
@@ -94,17 +83,12 @@ pub struct FoldSide {
     /// Chunks the frame index cut those segments into — the unit of
     /// fold parallelism.
     pub chunks: u64,
-    /// Default-backend (mmap) 1-thread fold, milliseconds.
+    /// 1-thread streaming fold, milliseconds.
     pub threads_1_ms: u64,
-    /// Default-backend (mmap) 8-thread fold, milliseconds.
+    /// 8-thread streaming fold, milliseconds.
     pub threads_8_ms: u64,
     /// `threads_1_ms / threads_8_ms`.
     pub speedup: f64,
-    /// The mmap backend's timings (same numbers as the top level —
-    /// mmap is the default — kept per-backend for the schema).
-    pub mmap: BackendFold,
-    /// The pread backend's timings.
-    pub pread: BackendFold,
 }
 
 /// The full machine-readable report (`BENCH_crawlstore.json`).
@@ -114,26 +98,19 @@ pub struct StoreBenchReport {
     pub sites: u64,
     /// Crawl worker threads.
     pub threads: u64,
-    /// JSONL write side.
-    pub write_jsonl: WriteSide,
-    /// Binary write side.
+    /// Write side.
     pub write_binary: WriteSide,
-    /// JSONL replay side.
-    pub replay_jsonl: ReplaySide,
-    /// Binary replay side (rank-ordered k-way merge drain).
+    /// Rank-ordered replay (`CrawlReader`'s k-way merge drain).
     pub replay_binary: ReplaySide,
-    /// Binary replay through mmap'd zero-copy chunk windows (1-thread
-    /// chunked drain — the apples-to-apples MB/s comparison against
-    /// `replay_binary`'s pread-based merge).
+    /// 1-thread chunked drain (`par_fold_with` over mmap'd chunk
+    /// windows) — the same decoder without the merge.
     pub replay_binary_mmap: ReplaySide,
-    /// Binary replay visits/s over JSONL replay visits/s.
-    pub binary_replay_speedup: f64,
-    /// Chunk-granular parallel-fold measurements (binary fold store).
+    /// Chunk-granular parallel-fold measurements.
     pub fold: FoldSide,
     /// Process peak RSS after everything above (bytes; 0 if unknown).
     pub peak_rss_bytes: u64,
-    /// The streaming aggregates of the crawl — pins that the two
-    /// formats analyzed identically and gives the numbers context.
+    /// The streaming aggregates of the crawl — gives the numbers
+    /// context.
     pub stream_summary: StreamSummary,
 }
 
@@ -143,10 +120,9 @@ fn crawl_one(
     cfg: &VisitConfig,
     sites: usize,
     threads: usize,
-    format: SegmentFormat,
 ) -> WriteSide {
-    let run = crawl_to_store_with(dir, gen, cfg, 1, sites, threads, format, |_| {})
-        .unwrap_or_else(|e| panic!("storebench crawl ({format}): {e}"));
+    let run = crawl_to_store(dir, gen, cfg, 1, sites, threads, |_| {})
+        .unwrap_or_else(|e| panic!("storebench crawl: {e}"));
     let visits = run.summary.visited as u64;
     WriteSide {
         visits,
@@ -179,8 +155,8 @@ fn replay_one(dir: &Path, bytes: u64) -> ReplaySide {
     }
 }
 
-/// A full 1-thread decode of the binary store through mmap'd chunk
-/// windows — the zero-copy counterpart of [`replay_one`]'s merge drain.
+/// A full 1-thread decode of the store through mmap'd chunk windows —
+/// [`replay_one`]'s decode without the merge.
 fn replay_one_mmap(dir: &Path, bytes: u64) -> ReplaySide {
     let _span = cg_telemetry::span!("storebench_replay_mmap");
     let watch = Stopwatch::start();
@@ -204,34 +180,21 @@ fn replay_one_mmap(dir: &Path, bytes: u64) -> ReplaySide {
     }
 }
 
-/// Times `StreamStats::from_store_with` at 1 and 8 threads through one
-/// backend, asserting the two folds serialize identically.
-fn fold_backend(dir: &Path, backend: ReadBackend) -> (BackendFold, StreamStats) {
+/// Times `StreamStats::from_store` at 1 and 8 threads, asserting the
+/// two folds serialize identically; returns the times and the stats.
+fn fold_timed(dir: &Path) -> (u64, u64, StreamStats) {
     let t1 = Stopwatch::start();
-    let seq = StreamStats::from_store_with(dir, 1, backend)
-        .unwrap_or_else(|e| panic!("storebench fold ({backend}): {e}"));
+    let seq = StreamStats::from_store(dir, 1).unwrap_or_else(|e| panic!("storebench fold: {e}"));
     let threads_1_ms = t1.elapsed_ms();
     let t8 = Stopwatch::start();
-    let par = StreamStats::from_store_with(dir, 8, backend)
-        .unwrap_or_else(|e| panic!("storebench fold ({backend}): {e}"));
+    let par = StreamStats::from_store(dir, 8).unwrap_or_else(|e| panic!("storebench fold: {e}"));
     let threads_8_ms = t8.elapsed_ms();
     assert_eq!(
         serde_json::to_string(&seq).expect("serialize stats"),
         serde_json::to_string(&par).expect("serialize stats"),
-        "parallel {backend} fold diverged from sequential — determinism bug"
+        "parallel fold diverged from sequential — determinism bug"
     );
-    (
-        BackendFold {
-            threads_1_ms,
-            threads_8_ms,
-            speedup: if threads_8_ms == 0 {
-                0.0
-            } else {
-                threads_1_ms as f64 / threads_8_ms as f64
-            },
-        },
-        seq,
-    )
+    (threads_1_ms, threads_8_ms, seq)
 }
 
 /// Runs the crawl-store benchmark. The store directories live under
@@ -247,30 +210,12 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
     };
     let gen = WebGenerator::new(GenConfig::small(opts.sites), opts.seed);
     let cfg = VisitConfig::regular();
-    let dir_j = base.join("jsonl");
     let dir_b = base.join("binary");
 
-    eprintln!("[storebench] crawling {} sites → JSONL store…", opts.sites);
-    let write_jsonl = crawl_one(
-        &dir_j,
-        &gen,
-        &cfg,
-        opts.sites,
-        opts.threads,
-        SegmentFormat::Jsonl,
-    );
-    eprintln!("[storebench] crawling {} sites → binary store…", opts.sites);
-    let write_binary = crawl_one(
-        &dir_b,
-        &gen,
-        &cfg,
-        opts.sites,
-        opts.threads,
-        SegmentFormat::Binary,
-    );
+    eprintln!("[storebench] crawling {} sites → store…", opts.sites);
+    let write_binary = crawl_one(&dir_b, &gen, &cfg, opts.sites, opts.threads);
 
-    eprintln!("[storebench] replaying both stores…");
-    let replay_jsonl = replay_one(&dir_j, write_jsonl.bytes);
+    eprintln!("[storebench] replaying the store…");
     let replay_binary = replay_one(&dir_b, write_binary.bytes);
     let replay_binary_mmap = replay_one_mmap(&dir_b, write_binary.bytes);
 
@@ -282,32 +227,24 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
         dir_b.clone()
     } else {
         let dir_f = base.join("fold");
-        eprintln!("[storebench] crawling {fold_sites} sites → fold-bench binary store…");
+        eprintln!("[storebench] crawling {fold_sites} sites → fold-bench store…");
         let fold_gen = WebGenerator::new(GenConfig::small(fold_sites), opts.seed);
-        crawl_one(
-            &dir_f,
-            &fold_gen,
-            &cfg,
-            fold_sites,
-            opts.threads,
-            SegmentFormat::Binary,
-        );
+        crawl_one(&dir_f, &fold_gen, &cfg, fold_sites, opts.threads);
         dir_f
     };
     let plan = plan_chunks(&dir_f).unwrap_or_else(|e| panic!("storebench chunk plan: {e}"));
     let (segments, chunks) = (plan.segments() as u64, plan.len() as u64);
     drop(plan);
 
-    eprintln!("[storebench] chunked folds at 1 and 8 threads (mmap, pread)…");
-    let (mmap, mmap_stats) = fold_backend(&dir_f, ReadBackend::Mmap);
-    let (pread, pread_stats) = fold_backend(&dir_f, ReadBackend::Pread);
-    assert_eq!(
-        serde_json::to_string(&mmap_stats).expect("serialize stats"),
-        serde_json::to_string(&pread_stats).expect("serialize stats"),
-        "mmap fold diverged from pread — backend differential bug"
-    );
-    // The summary pins the *measured* crawl, not the fold-bench store.
-    let seq = StreamStats::from_store(&dir_b, 1).unwrap_or_else(|e| panic!("storebench fold: {e}"));
+    eprintln!("[storebench] chunked folds at 1 and 8 threads…");
+    let (threads_1_ms, threads_8_ms, fold_stats) = fold_timed(&dir_f);
+    // The summary pins the *measured* crawl, not the fold-bench store
+    // (the same store unless the measured crawl was too small to fold).
+    let seq = if dir_f == dir_b {
+        fold_stats
+    } else {
+        StreamStats::from_store(&dir_b, 1).unwrap_or_else(|e| panic!("storebench fold: {e}"))
+    };
 
     if ephemeral {
         let _ = std::fs::remove_dir_all(&base);
@@ -316,25 +253,20 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
     StoreBenchReport {
         sites: opts.sites as u64,
         threads: opts.threads as u64,
-        write_jsonl,
         write_binary,
-        replay_jsonl,
         replay_binary,
         replay_binary_mmap,
-        binary_replay_speedup: if replay_jsonl.visits_per_sec > 0.0 {
-            replay_binary.visits_per_sec / replay_jsonl.visits_per_sec
-        } else {
-            0.0
-        },
         fold: FoldSide {
             visits: fold_sites as u64,
             segments,
             chunks,
-            threads_1_ms: mmap.threads_1_ms,
-            threads_8_ms: mmap.threads_8_ms,
-            speedup: mmap.speedup,
-            mmap,
-            pread,
+            threads_1_ms,
+            threads_8_ms,
+            speedup: if threads_8_ms == 0 {
+                0.0
+            } else {
+                threads_1_ms as f64 / threads_8_ms as f64
+            },
         },
         peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
         stream_summary: seq.summary(),
@@ -345,29 +277,16 @@ pub fn run_storebench(opts: &ExperimentOptions) -> StoreBenchReport {
 pub fn print_storebench(r: &StoreBenchReport) {
     println!("\n== crawl store throughput ({} sites) ==", r.sites);
     println!(
-        "  write  jsonl : {:>9.0} visits/s  {:>7.0} B/visit  ({})",
-        r.write_jsonl.visits_per_sec,
-        r.write_jsonl.bytes_per_visit,
-        render_ms(r.write_jsonl.elapsed_ms)
-    );
-    println!(
-        "  write  binary: {:>9.0} visits/s  {:>7.0} B/visit  ({})",
+        "  write        : {:>9.0} visits/s  {:>7.0} B/visit  ({})",
         r.write_binary.visits_per_sec,
         r.write_binary.bytes_per_visit,
         render_ms(r.write_binary.elapsed_ms)
     );
     println!(
-        "  replay jsonl : {:>9.0} visits/s  {:>7.1} MB/s     ({})",
-        r.replay_jsonl.visits_per_sec,
-        r.replay_jsonl.mb_per_sec,
-        render_ms(r.replay_jsonl.elapsed_ms)
-    );
-    println!(
-        "  replay binary: {:>9.0} visits/s  {:>7.1} MB/s     ({})  — {:.1}× jsonl",
+        "  replay merge : {:>9.0} visits/s  {:>7.1} MB/s     ({})",
         r.replay_binary.visits_per_sec,
         r.replay_binary.mb_per_sec,
         render_ms(r.replay_binary.elapsed_ms),
-        r.binary_replay_speedup
     );
     println!(
         "  replay mmap  : {:>9.0} visits/s  {:>7.1} MB/s     ({})  — zero-copy chunks",
@@ -380,16 +299,10 @@ pub fn print_storebench(r: &StoreBenchReport) {
         r.fold.visits, r.fold.segments, r.fold.chunks
     );
     println!(
-        "  fold mmap    : 1 thr {}    8 thr {}   ({:.2}× speedup)",
-        render_ms(r.fold.mmap.threads_1_ms),
-        render_ms(r.fold.mmap.threads_8_ms),
-        r.fold.mmap.speedup
-    );
-    println!(
-        "  fold pread   : 1 thr {}    8 thr {}   ({:.2}× speedup)",
-        render_ms(r.fold.pread.threads_1_ms),
-        render_ms(r.fold.pread.threads_8_ms),
-        r.fold.pread.speedup
+        "  fold         : 1 thr {}    8 thr {}   ({:.2}× speedup)",
+        render_ms(r.fold.threads_1_ms),
+        render_ms(r.fold.threads_8_ms),
+        r.fold.speedup
     );
     println!(
         "  peak RSS     : {:.1} MB",
@@ -420,29 +333,25 @@ mod tests {
         };
         let report = run_storebench(&opts);
         assert_eq!(report.sites, 30);
-        assert_eq!(report.replay_jsonl.visits, report.replay_binary.visits);
+        assert_eq!(report.replay_binary.visits, 30);
         assert_eq!(
             report.replay_binary_mmap.visits,
             report.replay_binary.visits
         );
-        assert!(report.write_binary.bytes < report.write_jsonl.bytes);
         assert_eq!(report.fold.visits, 40);
         assert!(report.fold.chunks >= report.fold.segments);
         let json = serde_json::to_value(&report).unwrap();
         for key in [
-            "write_jsonl",
             "write_binary",
-            "replay_jsonl",
             "replay_binary",
             "replay_binary_mmap",
-            "binary_replay_speedup",
             "fold",
             "peak_rss_bytes",
             "stream_summary",
         ] {
             assert!(json.get(key).is_some(), "missing report key {key}");
         }
-        for key in ["visits", "segments", "chunks", "mmap", "pread"] {
+        for key in ["visits", "segments", "chunks", "speedup"] {
             assert!(
                 json["fold"].get(key).is_some(),
                 "missing fold report key {key}"

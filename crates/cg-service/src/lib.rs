@@ -20,7 +20,7 @@
 //!   probe ([`EpochSlot::undrained`]).
 //! * **Load generation** — [`replay()`] drives visits from a PR 6 crawl
 //!   store through tenant-routed sessions across a fixed worker pool
-//!   (resident or streaming-pread traffic source, closed- or open-loop
+//!   (resident or streaming traffic source, closed- or open-loop
 //!   pacing, scheduled mid-run swaps) and reports sustained
 //!   decisions/s, swap latency, and p50/p99/p999 decision latency from
 //!   deterministically merged per-worker histograms

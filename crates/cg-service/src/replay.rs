@@ -10,9 +10,9 @@
 //! that per-visit path byte for byte:
 //!
 //! * [`ReplaySource::Resident`] pre-extracts every script into memory
-//!   (via [`CrawlReader`], either segment format) — the hot-decision
+//!   (via [`CrawlReader`]'s rank-ordered merge) — the hot-decision
 //!   configuration for measuring sustained decisions/s;
-//! * [`ReplaySource::Stream`] decodes binary segments one frame at a
+//! * [`ReplaySource::Stream`] decodes segments one frame at a
 //!   time from frame-index chunks ([`plan_chunks`]): workers claim
 //!   chunk indices and decode each claim through an mmap'd zero-copy
 //!   [`ChunkStream`](cg_crawlstore::ChunkStream) window (pread

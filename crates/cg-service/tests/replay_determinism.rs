@@ -1,9 +1,9 @@
-//! End-to-end replayer tests against a real binary crawl store: the
+//! End-to-end replayer tests against a real crawl store: the
 //! deterministic-counters contract across worker counts and sources,
 //! swap-under-load, and the zero-dropped-decisions drain proof.
 
 use cg_browser::VisitConfig;
-use cg_crawlstore::{crawl_to_store_with, SegmentFormat};
+use cg_crawlstore::crawl_to_store;
 use cg_service::{replay, GuardService, Pacing, ReplayOptions, ReplaySource, SwapPoint, TenantId};
 use cookieguard_core::GuardConfig;
 use std::path::PathBuf;
@@ -14,17 +14,8 @@ fn build_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cg-service-replay-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let gen = cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(SITES), 0x5E11CE);
-    crawl_to_store_with(
-        &dir,
-        &gen,
-        &VisitConfig::regular(),
-        1,
-        SITES,
-        4,
-        SegmentFormat::Binary,
-        |_| {},
-    )
-    .expect("build replay store");
+    crawl_to_store(&dir, &gen, &VisitConfig::regular(), 1, SITES, 4, |_| {})
+        .expect("build replay store");
     dir
 }
 
@@ -163,37 +154,31 @@ fn open_loop_pacing_completes_with_the_same_counters() {
 }
 
 #[test]
-fn stream_source_refuses_a_jsonl_store() {
-    let dir = std::env::temp_dir().join(format!("cg-service-jsonl-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let gen = cg_webgen::WebGenerator::new(cg_webgen::GenConfig::small(10), 1);
-    crawl_to_store_with(
-        &dir,
-        &gen,
-        &VisitConfig::regular(),
-        1,
-        10,
-        2,
-        SegmentFormat::Jsonl,
-        |_| {},
+fn both_sources_refuse_a_retired_jsonl_store() {
+    // A store whose manifest names the retired JSONL segment format.
+    let dir = build_store("jsonl");
+    let manifest = dir.join(cg_crawlstore::MANIFEST_FILE);
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(
+        &manifest,
+        text.replace("\"format\": \"binary\"", "\"format\": \"jsonl\""),
     )
-    .expect("build jsonl store");
+    .unwrap();
     let (svc, _, _) = two_tenant_service();
-    let err = replay(
-        &svc,
-        &dir,
-        &ReplayOptions {
-            source: ReplaySource::Stream,
-            ..ReplayOptions::default()
-        },
-    )
-    .expect_err("jsonl must be refused by the streaming source");
-    assert!(
-        err.to_string().contains("binary"),
-        "unexpected error: {err}"
-    );
-    // …but the resident source happily reads either format.
-    let ok = replay(&svc, &dir, &ReplayOptions::default()).expect("resident over jsonl");
-    assert_eq!(ok.counters.visits, 10);
+    for source in [ReplaySource::Resident, ReplaySource::Stream] {
+        let err = replay(
+            &svc,
+            &dir,
+            &ReplayOptions {
+                source,
+                ..ReplayOptions::default()
+            },
+        )
+        .expect_err("a JSONL store must be refused");
+        assert!(
+            err.to_string().contains("retired JSONL"),
+            "unexpected error: {err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

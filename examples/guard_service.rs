@@ -19,7 +19,7 @@
 
 use cookieguard_repro::browser::VisitConfig;
 use cookieguard_repro::cookieguard::GuardConfig;
-use cookieguard_repro::crawlstore::{crawl_to_store_with, SegmentFormat};
+use cookieguard_repro::crawlstore::crawl_to_store;
 use cookieguard_repro::entity::builtin_entity_map;
 use cookieguard_repro::service::{replay, GuardService, ReplayOptions, SwapPoint};
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
@@ -51,19 +51,18 @@ fn main() {
         i += 1;
     }
 
-    // 1. A binary crawl store to draw traffic from.
+    // 1. A crawl store to draw traffic from.
     let dir = std::env::temp_dir().join(format!("guard-service-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    println!("building {sites}-visit binary store…");
+    println!("building {sites}-visit crawl store…");
     let gen = WebGenerator::new(GenConfig::small(sites), MASTER_SEED);
-    crawl_to_store_with(
+    crawl_to_store(
         &dir,
         &gen,
         &VisitConfig::regular(),
         1,
         sites,
         workers,
-        SegmentFormat::Binary,
         |_| {},
     )
     .expect("build store");

@@ -4,17 +4,15 @@
 //!
 //! Run with:
 //! `cargo run --release --example measure_crawl [SITES] [--store DIR]
-//! [--format jsonl|binary] [--threads N] [--stream]
-//! [--read-backend mmap|pread|buffered] [--telemetry]`
+//! [--threads N] [--stream] [--telemetry]`
 //!
 //! With `--store DIR` the crawl writes through the durable segmented
 //! crawl store: kill it mid-run and rerun the same command — it resumes
 //! from the checkpoint, finishes only the missing ranks, and the
-//! analysis streams the store back rank-ordered instead of holding the
-//! crawl in memory. `--format binary` selects the compact framed
-//! segment format (the replay fast path; identical analysis output).
-//! Store runs print write/replay throughput and peak RSS next to the
-//! segment/byte stats.
+//! analysis replays the store through zero-copy mmap'd chunk windows
+//! instead of holding the crawl in memory. Store runs print write/replay
+//! throughput and peak RSS next to the segment/byte stats;
+//! `cg-experiments dump DIR` prints the store as JSON lines.
 //!
 //! `--stream` (requires `--store`) replaces the retained [`Dataset`]
 //! analysis with the bounded-memory streaming fold
@@ -22,11 +20,6 @@
 //! chunk-granular parallel pass over the segments, peak RSS independent
 //! of crawl size. This is the mode that takes a million-visit store —
 //! the retained path would hold every `VisitLog` in memory.
-//!
-//! `--read-backend` picks how store bytes are read back: `mmap`
-//! (zero-copy windows over the page cache — the default; the kernel
-//! reclaims mapped pages under pressure, so VmHWM stays flat), `pread`,
-//! or `buffered`. All three produce byte-identical analyses.
 //!
 //! `--telemetry` prints the runtime telemetry snapshot (JSON and
 //! Prometheus text) after the run: visit/store/fold counters from the
@@ -39,7 +32,7 @@ use cookieguard_repro::analysis::{
     Dataset,
 };
 use cookieguard_repro::browser::{crawl_range, VisitConfig};
-use cookieguard_repro::crawlstore::{crawl_to_store_with, ReadBackend, SegmentFormat};
+use cookieguard_repro::crawlstore::crawl_to_store;
 use cookieguard_repro::webgen::{GenConfig, WebGenerator};
 
 const MASTER_SEED: u64 = 0xC00C1E;
@@ -72,26 +65,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sites: usize = 600;
     let mut store_dir: Option<std::path::PathBuf> = None;
-    let mut format = SegmentFormat::Jsonl;
     let mut threads: usize = 4;
     let mut stream = false;
     let mut telemetry = false;
-    let mut backend = ReadBackend::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--stream" => stream = true,
             "--telemetry" => telemetry = true,
-            "--read-backend" => {
-                i += 1;
-                backend = match args.get(i).and_then(|b| b.parse().ok()) {
-                    Some(b) => b,
-                    None => {
-                        eprintln!("--read-backend must be mmap, pread, or buffered");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--threads" => {
                 i += 1;
                 threads = match args.get(i).and_then(|t| t.parse().ok()) {
@@ -112,24 +93,12 @@ fn main() {
                     }
                 }
             }
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("jsonl") => SegmentFormat::Jsonl,
-                    Some("binary") => SegmentFormat::Binary,
-                    other => {
-                        eprintln!("--format must be jsonl or binary, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             other => match other.parse() {
                 Ok(n) => sites = n,
                 Err(_) => {
                     eprintln!(
                         "usage: measure_crawl [SITES] [--store DIR] \
-                         [--format jsonl|binary] [--threads N] [--stream] \
-                         [--read-backend mmap|pread|buffered] [--telemetry]"
+                         [--threads N] [--stream] [--telemetry]"
                     );
                     std::process::exit(2);
                 }
@@ -157,7 +126,7 @@ fn main() {
             Dataset::from_logs(outcomes.into_iter().map(|o| o.log).collect())
         }
         Some(dir) => {
-            let run = crawl_to_store_with(dir, &gen, &cfg, 1, sites, threads, format, |store| {
+            let run = crawl_to_store(dir, &gen, &cfg, 1, sites, threads, |store| {
                 let resumed = store.done_ranks().len();
                 if resumed > 0 {
                     println!("  resuming: {resumed} ranks already durable in the store");
@@ -172,7 +141,7 @@ fn main() {
                 run.summary.visited, run.summary.complete, run.summary.failed
             );
             println!(
-                "  store: {} records across {} segments, {} bytes on disk ({format})",
+                "  store: {} records across {} segments, {} bytes on disk",
                 run.stats.records, run.stats.segments, run.stats.bytes
             );
             if run.summary.visited > 0 {
@@ -184,21 +153,18 @@ fn main() {
             }
             if stream {
                 // Bounded-memory path: chunk-granular parallel streaming
-                // folds through the chosen read backend, nothing
-                // retained. The only mode that scales to a million-visit
-                // store.
+                // folds, nothing retained. The only mode that scales to a
+                // million-visit store.
                 let watch = cookieguard_repro::telemetry::Stopwatch::start();
-                let stats = cookieguard_repro::analysis::StreamStats::from_store_with(
-                    dir, threads, backend,
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("streaming fold over the store failed: {e}");
-                    std::process::exit(1);
-                });
+                let stats = cookieguard_repro::analysis::StreamStats::from_store(dir, threads)
+                    .unwrap_or_else(|e| {
+                        eprintln!("streaming fold over the store failed: {e}");
+                        std::process::exit(1);
+                    });
                 let fold_ms = watch.elapsed_ms();
                 let s = stats.summary();
                 println!(
-                    "  streaming fold ({threads} threads, {backend}): \
+                    "  streaming fold ({threads} threads): \
                      {:.0} visits/s, {:.1} MB/s ({}); peak RSS {:.1} MB",
                     cookieguard_repro::telemetry::per_sec(s.crawled, fold_ms),
                     cookieguard_repro::telemetry::per_sec(run.stats.bytes, fold_ms) / 1e6,
@@ -208,10 +174,7 @@ fn main() {
                 // Machine-readable line for CI's fold-speedup anchor
                 // (kept above the `-- streaming summary` marker so
                 // between-run summary diffs never see wall times).
-                println!(
-                    "  fold_ms={fold_ms} backend={backend} threads={threads} visits={}",
-                    s.crawled
-                );
+                println!("  fold_ms={fold_ms} threads={threads} visits={}", s.crawled);
                 println!("\n-- streaming summary ({} visits) --", s.crawled);
                 println!("  complete visits:         {}", s.complete);
                 println!(
@@ -244,13 +207,13 @@ fn main() {
                 return;
             }
             let watch = cookieguard_repro::telemetry::Stopwatch::start();
-            let ds = Dataset::from_store_with(dir, threads, backend).unwrap_or_else(|e| {
+            let ds = Dataset::from_store(dir, threads).unwrap_or_else(|e| {
                 eprintln!("replaying crawl store failed: {e}");
                 std::process::exit(1);
             });
             let replay_ms = watch.elapsed_ms();
             println!(
-                "  replay throughput ({backend}): {:.0} visits/s, {:.1} MB/s ({}); peak RSS {:.1} MB",
+                "  replay throughput: {:.0} visits/s, {:.1} MB/s ({}); peak RSS {:.1} MB",
                 cookieguard_repro::telemetry::per_sec(ds.crawled as u64, replay_ms),
                 cookieguard_repro::telemetry::per_sec(run.stats.bytes, replay_ms) / 1e6,
                 cookieguard_repro::telemetry::render_ms(replay_ms),
