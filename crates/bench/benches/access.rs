@@ -1,18 +1,17 @@
 //! Access-layer benchmarks.
 //!
-//! * `guarded_jar_180c`: per-op vs batch `GuardedJar` traffic on a jar
-//!   at the 180-cookie per-domain cap, driving a mixed read/write burst.
-//!   The batch API derives the caller context once and serves
-//!   consecutive reads from one post-filter view.
+//! * `guarded_jar_180c`: `GuardedJar` traffic on a jar at the
+//!   180-cookie per-domain cap, driving a mixed read/write burst one
+//!   operation at a time.
 //! * `visit_23c`: the crawl's own traffic shape — a jar of 23 cookies
 //!   (a visit's median), one `document.cookie` get or one classified
 //!   `document.cookie` set, unguarded and under the strict guard.
 
 use cg_cookiejar::CookieJar;
-use cg_instrument::{CookieApi, NullSink, Recorder};
+use cg_instrument::NullSink;
 use cg_url::Url;
 use cookieguard_core::{
-    AccessContext, BatchOp, Caller, GuardConfig, GuardEngine, GuardSession, GuardedJar, SetRequest,
+    AccessContext, Caller, GuardConfig, GuardEngine, GuardSession, GuardedJar, SetRequest,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -50,26 +49,34 @@ fn seeded() -> (CookieJar, GuardSession) {
     (jar, guard)
 }
 
+/// One operation of the burst.
+enum Op {
+    /// A `document.cookie` read.
+    Read,
+    /// A `cookieStore.get`.
+    Get(&'static str),
+    /// A write through either API.
+    Set(SetRequest<'static>),
+    /// A `cookieStore.delete`.
+    Delete(&'static str),
+}
+
 /// The mixed burst one busy script issues: jar-wide reads, targeted
 /// gets, a write, and a delete.
-fn burst_ops() -> Vec<BatchOp<'static>> {
+fn burst_ops() -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..4 {
-        ops.push(BatchOp::Read {
-            api: CookieApi::DocumentCookie,
-        });
-        ops.push(BatchOp::Get { name: "cookie_3" });
-        ops.push(BatchOp::Get { name: "cookie_9" });
+        ops.push(Op::Read);
+        ops.push(Op::Get("cookie_3"));
+        ops.push(Op::Get("cookie_9"));
     }
-    ops.push(BatchOp::Set(SetRequest::CookieStore {
+    ops.push(Op::Set(SetRequest::CookieStore {
         name: "cookie_3",
         value: "refreshed",
         expires_abs_ms: None,
     }));
-    ops.push(BatchOp::Read {
-        api: CookieApi::DocumentCookie,
-    });
-    ops.push(BatchOp::Delete { name: "cookie_3" });
+    ops.push(Op::Read);
+    ops.push(Op::Delete("cookie_3"));
     ops
 }
 
@@ -88,44 +95,21 @@ fn bench_access(c: &mut Criterion) {
                 // Platform implementation fielding one script op at a time.
                 let c = ctx(vendor);
                 match op {
-                    BatchOp::Read {
-                        api: CookieApi::DocumentCookie,
-                    } => {
+                    Op::Read => {
                         black_box(access.document_cookie(&c));
                     }
-                    BatchOp::Read { .. } => {
-                        black_box(access.get_all(&c));
-                    }
-                    BatchOp::Get { name } => {
+                    Op::Get(name) => {
                         black_box(access.get(&c, name));
                     }
-                    BatchOp::Set(req) => {
+                    Op::Set(req) => {
                         black_box(access.set(&c, *req));
                     }
-                    BatchOp::Delete { name } => {
+                    Op::Delete(name) => {
                         black_box(access.delete(&c, name));
                     }
                 }
             }
         });
-    });
-
-    group.bench_function("batch", |b| {
-        let (mut jar, mut guard) = seeded();
-        let mut sink = NullSink;
-        let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut sink);
-        let c = ctx("vendor3.example");
-        b.iter(|| black_box(access.run_batch(&c, &ops)));
-    });
-
-    // The same burst with the full recorder attached, so the cost of
-    // event emission stays visible alongside the enforcement cost.
-    group.bench_function("batch_recorded", |b| {
-        let (mut jar, mut guard) = seeded();
-        let mut rec = Recorder::new("bench-site.example", 1);
-        let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut rec);
-        let c = ctx("vendor3.example");
-        b.iter(|| black_box(access.run_batch(&c, &ops)));
     });
 
     group.finish();

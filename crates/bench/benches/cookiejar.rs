@@ -1,9 +1,12 @@
 //! Cookie-jar micro-benchmarks: the raw cost of the operations the
-//! paper's extension intercepts (`document.cookie` get/set, CookieStore
-//! get/getAll) at realistic jar sizes.
+//! paper's extension intercepts (`document.cookie` get/set,
+//! `cookieStore.getAll`) at realistic jar sizes. `cookieStore.getAll`
+//! runs through `GuardedJar::get_all`, the one path scripts reach it by.
 
-use cg_cookiejar::{CookieJar, CookieStore, FlatJar};
+use cg_cookiejar::{CookieJar, FlatJar};
+use cg_instrument::NullSink;
 use cg_url::Url;
+use cookieguard_core::{AccessContext, Caller, GuardedJar};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn jar_with(n: usize) -> (CookieJar, Url) {
@@ -45,8 +48,16 @@ fn bench_cookie_store(c: &mut Criterion) {
     for &n in &[5usize, 20, 60] {
         let (mut jar, url) = jar_with(n);
         group.bench_with_input(BenchmarkId::new("get_all", n), &n, |b, _| {
-            let store = CookieStore::open(&mut jar, &url).unwrap();
-            b.iter(|| black_box(store.get_all(1_000)));
+            let mut sink = NullSink;
+            let mut access = GuardedJar::new(url.clone(), &mut jar, None, &mut sink);
+            let ctx = AccessContext {
+                caller: Caller::external("site.com"),
+                actor: Some(cg_url::intern("site.com")),
+                actor_url: None,
+                now_ms: 1_000,
+                time_ms: 0,
+            };
+            b.iter(|| black_box(access.get_all(&ctx)));
         });
     }
     group.finish();

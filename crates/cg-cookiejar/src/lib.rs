@@ -1,6 +1,13 @@
-//! The browser cookie jar: RFC 6265 storage semantics plus the two script
-//! interfaces the paper instruments — the legacy `document.cookie` string
-//! property and the modern structured `CookieStore` API.
+//! The browser cookie jar: RFC 6265 storage semantics, the
+//! `document.cookie` string grammar, and the change log that feeds
+//! `CookieStore` `change` events.
+//!
+//! Scripts never reach the jar directly. Both interfaces the paper
+//! instruments — `document.cookie` and the structured `CookieStore`
+//! API — go through `cookieguard_core::GuardedJar`, which runs the
+//! policy check and emits the instrument event around every jar call.
+//! The jar's own mutating methods are storage-level entry points for
+//! fixtures, baselines and that access layer.
 //!
 //! Design notes:
 //!
@@ -27,13 +34,11 @@ pub mod changes;
 pub mod cookie;
 pub mod flat;
 pub mod jar;
-pub mod store;
 
 pub use changes::{ChangeCause, CookieChange};
 pub use cookie::{join_pairs, Cookie};
 pub use flat::FlatJar;
 pub use jar::{serialization_order, CookieJar, SetCookieError, ShardPin};
-pub use store::{CookieListItem, CookieStore};
 
 #[cfg(test)]
 mod proptests {

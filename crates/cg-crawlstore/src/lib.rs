@@ -59,9 +59,9 @@
 //! `cg-analysis`). **Invariants:** segments are internally rank-sorted
 //! append-only runs; the manifest's fingerprint gates resume; a
 //! killed-and-resumed crawl's merged stream is byte-identical to an
-//! uninterrupted one, in either segment format. **Entry points:**
-//! `open_store`, `open_store_with`, `crawl_to_store`, `CrawlWriter`,
-//! `CrawlReader`, `par_fold`, `par_fold_with`.
+//! uninterrupted one. **Entry points:** `open_store`,
+//! `open_store_with`, `crawl_to_store`, `CrawlWriter`, `CrawlReader`,
+//! `par_fold_with`.
 
 pub mod chunk;
 pub mod codec;

@@ -1,7 +1,8 @@
 //! Everything the store reads back is hostile input. Property tests
 //! over arbitrary, bit-flipped and truncated bytes pin three promises
-//! for the payload decoders (`decode_visit_log`, `decode_content`) and
-//! the manifest loader (`Manifest::load`):
+//! for the payload decoders (`decode_visit_log`, `decode_content`), the
+//! manifest loader (`Manifest::load`) and the frame-index sidecar
+//! decoder (`index::decode_index`):
 //!
 //! * every input gives a value or a typed `Err` — never a panic;
 //! * a strict prefix of a valid input is always an `Err`;
@@ -10,6 +11,7 @@
 
 use cg_browser::{crawl_range, VisitConfig};
 use cg_crawlstore::codec::{decode_content, decode_visit_log, encode_visit_log};
+use cg_crawlstore::index::{decode_index, encode_index, IndexEntry, IndexError, INDEX_STRIDE};
 use cg_crawlstore::{CrawlWriter, Fingerprint, Manifest, StoreError, MANIFEST_FILE};
 use cg_webgen::{GenConfig, WebGenerator};
 use proptest::prelude::*;
@@ -64,6 +66,56 @@ fn decode_bounded(bytes: &[u8]) -> (bool, bool) {
         bytes.len()
     );
     (log_ok, content_ok)
+}
+
+/// Runs the sidecar decoder over `bytes` under the same allocation
+/// bound as [`decode_bounded`].
+fn decode_index_bounded(bytes: &[u8]) -> Result<usize, IndexError> {
+    LARGEST.with(|l| l.set(0));
+    let result = decode_index(bytes).map(|index| index.entries.len());
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= 256 * bytes.len() + 4096,
+        "a {}-byte sidecar allocated {largest} bytes at once",
+        bytes.len()
+    );
+    result
+}
+
+/// A sidecar as the writer stores it for a 6,400-frame segment: one
+/// entry per stride, with frame sizes spread from bytes to megabytes so
+/// the deltas take one- to four-byte varints.
+fn sidecar_bytes() -> &'static [u8] {
+    static SIDECAR: OnceLock<Vec<u8>> = OnceLock::new();
+    SIDECAR.get_or_init(|| {
+        let mut x = 0x5EED_u64;
+        let mut at = IndexEntry { rank: 3, offset: 0 };
+        let entries: Vec<IndexEntry> = (0..200)
+            .map(|_| {
+                let entry = at;
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                at.rank += u64::from(INDEX_STRIDE) * (1 + x % 3);
+                at.offset += 1 + (x >> 8) % (1 << (x % 22));
+                entry
+            })
+            .collect();
+        encode_index(INDEX_STRIDE, &entries)
+    })
+}
+
+/// A sidecar with `body` between a header declaring `count` entries
+/// and a checksum that matches: hostile content the checksum does not
+/// catch, so the entry decoder itself must refuse it.
+fn resealed_sidecar(count: u32, body: &[u8]) -> Vec<u8> {
+    let mut out = sidecar_bytes()[..8].to_vec();
+    out.extend_from_slice(&INDEX_STRIDE.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(body);
+    let prefix = (u64::from(INDEX_STRIDE) << 32) | u64::from(count);
+    out.extend_from_slice(&cg_hash::fnv1a32w(prefix, body).to_le_bytes());
+    out
 }
 
 /// Payloads of real crawl records (regular visits, event-rich and not).
@@ -138,6 +190,51 @@ fn corpus_decodes_cleanly() {
         assert_eq!(decode_bounded(payload), (true, true));
     }
     assert!(matches!(load_manifest(0, manifest_bytes()), Ok(Some(_))));
+    assert_eq!(decode_index_bounded(sidecar_bytes()), Ok(200));
+}
+
+#[test]
+fn every_strict_prefix_of_a_sidecar_is_an_error() {
+    let sidecar = sidecar_bytes();
+    for cut in 0..sidecar.len() {
+        assert!(
+            decode_index_bounded(&sidecar[..cut]).is_err(),
+            "a {cut}-byte prefix of a {}-byte sidecar decoded",
+            sidecar.len()
+        );
+    }
+}
+
+#[test]
+fn resealed_sidecars_with_hostile_entries_are_typed_errors() {
+    let body = &sidecar_bytes()[16..sidecar_bytes().len() - 4];
+    // A count the body cannot hold, up to the largest the header takes.
+    for count in [201, 1 << 20, u32::MAX] {
+        assert_eq!(
+            decode_index_bounded(&resealed_sidecar(count, body)),
+            Err(IndexError::Truncated)
+        );
+    }
+    assert_eq!(
+        decode_index_bounded(&resealed_sidecar(199, body)),
+        Err(IndexError::TrailingBytes)
+    );
+    // A zero delta after the first entry: two frames at one offset.
+    assert_eq!(
+        decode_index_bounded(&resealed_sidecar(2, &[3, 0, 32, 0])),
+        Err(IndexError::NotIncreasing)
+    );
+    // Deltas whose running sum passes u64::MAX.
+    let mut huge = Vec::new();
+    for _ in 0..2 {
+        huge.extend_from_slice(&[0xFF; 9]);
+        huge.push(0x01);
+        huge.push(1);
+    }
+    assert_eq!(
+        decode_index_bounded(&resealed_sidecar(2, &huge)),
+        Err(IndexError::Overflow)
+    );
 }
 
 proptest! {
@@ -209,6 +306,32 @@ proptest! {
         // A flip inside a number or a name may leave a valid manifest;
         // anything else must be a typed error.
         let _ = load_manifest(tag, &flipped(manifest_bytes(), seed, flips));
+    }
+
+    #[test]
+    fn arbitrary_sidecars_never_panic(bytes in prop::collection::vec(0u8..=255, 0..4096)) {
+        let _ = decode_index_bounded(&bytes);
+    }
+
+    #[test]
+    fn resealed_arbitrary_sidecars_never_panic(
+        count in any::<u32>(),
+        body in prop::collection::vec(0u8..=255, 0..4096),
+    ) {
+        // Random bodies behind a matching checksum reach the entry
+        // decoder, which alone must bound and refuse them.
+        let _ = decode_index_bounded(&resealed_sidecar(count, &body));
+    }
+
+    #[test]
+    fn bit_flipped_sidecars_never_panic(seed in any::<u64>(), flips in 1usize..16) {
+        let _ = decode_index_bounded(&flipped(sidecar_bytes(), seed, flips));
+    }
+
+    #[test]
+    fn truncated_sidecars_are_errors(cut in any::<u64>()) {
+        let sidecar = sidecar_bytes();
+        prop_assert!(decode_index_bounded(&sidecar[..cut as usize % sidecar.len()]).is_err());
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub enum ReplaySource {
     Resident,
     /// Workers claim frame-index chunks and decode them out of mmap'd
     /// segment windows, re-claiming from the top of the plan on each
-    /// pass (binary stores only).
+    /// pass.
     Stream,
 }
 

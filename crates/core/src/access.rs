@@ -19,10 +19,11 @@
 //! ```
 //!
 //! Callers never consult the guard, mutate the jar, or synthesize
-//! `SetEvent`/`ReadEvent`s by hand; they receive an [`Outcome`] that
-//! says what was decided, what changed, and what was logged. Running
-//! guard-less (a vanilla measurement crawl) is the same API with
-//! `guard = None`.
+//! `SetEvent`/`ReadEvent`s by hand; a write returns an [`Outcome`] that
+//! says what was decided and whether the jar changed, while the events
+//! go to the sink and the mutation's record to the jar's change log.
+//! Running guard-less (a vanilla measurement crawl) is the same API
+//! with `guard = None`.
 //!
 //! The jar's host → shard resolution is pinned once per `GuardedJar`
 //! (the document URL is fixed for its lifetime). Reads and write
@@ -48,7 +49,7 @@ use std::sync::Arc;
 /// legitimately disagree: `caller` is the policy identity (possibly
 /// CNAME-uncloaked or signature-attributed), while `actor` is the
 /// identity the instrumentation may observe (the raw stack-trace
-/// eTLD+1). A batch of operations from one script shares one context.
+/// eTLD+1). The operations of one script share one context.
 ///
 /// Both identities are interned ids, resolved once per script at
 /// attribution time, so building and cloning a context per operation is
@@ -100,13 +101,13 @@ pub enum SetRequest<'r> {
 }
 
 /// The structured result of one mediated mutation: what the policy
-/// decided, what the jar did, and what the instrumentation saw.
+/// decided and what the jar did.
 ///
-/// `Outcome` exists so callers never reconstruct any of the three by
-/// hand — the access layer is the only place that knows, e.g., that a
-/// blocked write still emits a `blocked: true` [`SetEvent`], or that a
-/// `document.cookie` delete of an absent cookie logs a delete event but
-/// reports `applied: false`.
+/// The instrument event goes to the sink and the mutation's record to
+/// the jar's change log; `Outcome` copies neither. The access layer is
+/// the only place that knows, e.g., that a blocked write still emits a
+/// `blocked: true` [`SetEvent`], or that a `document.cookie` delete of
+/// an absent cookie logs a delete event but reports `applied: false`.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// The guard's ruling; `None` when no guard is attached or the
@@ -120,14 +121,6 @@ pub struct Outcome {
     /// The jar's storage-level rejection, if any (validation, prefix
     /// contracts, HttpOnly protection).
     pub error: Option<SetCookieError>,
-    /// The change-log record of the mutation itself, if any. Knock-on
-    /// records the same operation triggered (a per-domain-cap eviction
-    /// after a create) follow it in the jar's change log.
-    pub change: Option<CookieChange>,
-    /// The instrument event that was emitted to the sink, if any — a
-    /// faithful copy, so callers can inspect what was logged without
-    /// owning the sink.
-    pub event: Option<SetEvent>,
 }
 
 impl Outcome {
@@ -142,43 +135,17 @@ impl Outcome {
             kind: WriteKind::Create,
             applied: false,
             error: Some(SetCookieError::Unparseable),
-            change: None,
-            event: None,
         }
     }
-}
 
-/// One operation of a batch (see [`GuardedJar::run_batch`]).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchOp<'r> {
-    /// A full read (`document.cookie` getter / `getAll`).
-    Read {
-        /// Which API surface the read uses (recorded on the event).
-        api: CookieApi,
-    },
-    /// A single-name read (`cookieStore.get`).
-    Get {
-        /// The requested cookie name.
-        name: &'r str,
-    },
-    /// A write (either API).
-    Set(SetRequest<'r>),
-    /// A `cookieStore.delete`.
-    Delete {
-        /// The targeted cookie name.
-        name: &'r str,
-    },
-}
-
-/// The result of one [`BatchOp`], in op order.
-#[derive(Debug, Clone)]
-pub enum BatchResult {
-    /// Result of [`BatchOp::Read`]: the visible `(name, value)` pairs.
-    Read(Vec<(String, String)>),
-    /// Result of [`BatchOp::Get`].
-    Get(Option<String>),
-    /// Result of [`BatchOp::Set`] / [`BatchOp::Delete`].
-    Mutation(Outcome),
+    fn blocked_by(decision: AccessDecision, kind: WriteKind) -> Outcome {
+        Outcome {
+            decision: Some(decision),
+            kind,
+            applied: false,
+            error: None,
+        }
+    }
 }
 
 /// The guarded cookie jar: the only sanctioned way to touch cookies.
@@ -259,7 +226,18 @@ impl<'v> GuardedJar<'v> {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value.clone());
-        self.finish_get(ctx, name, found, filtered)
+        // At most one pair and at most one withheld cookie are logged.
+        self.sink.cookie_read(ReadEvent {
+            actor: ctx.actor_name(),
+            api: CookieApi::CookieStore,
+            cookies: found
+                .iter()
+                .map(|v| (name.to_string(), v.clone()))
+                .collect(),
+            filtered_count: filtered.min(1),
+            time_ms: ctx.time_ms,
+        });
+        found
     }
 
     /// A full post-guard read on `api`: renders the caller's result from
@@ -279,48 +257,14 @@ impl<'v> GuardedJar<'v> {
             ctx,
         );
         let result = render(&view);
-        self.log_read(ctx, api, owned_pairs(&view), filtered);
-        result
-    }
-
-    /// Emits one full-read event — the one place it is constructed (the
-    /// per-op and batch paths both end here).
-    fn log_read(
-        &mut self,
-        ctx: &AccessContext,
-        api: CookieApi,
-        cookies: Vec<(String, String)>,
-        filtered: usize,
-    ) {
         self.sink.cookie_read(ReadEvent {
             actor: ctx.actor_name(),
             api,
-            cookies,
+            cookies: owned_pairs(&view),
             filtered_count: filtered,
             time_ms: ctx.time_ms,
         });
-    }
-
-    /// Single-name counterpart of [`GuardedJar::log_read`]: logs at most
-    /// one pair and at most one withheld cookie, and hands `found` back.
-    fn finish_get(
-        &mut self,
-        ctx: &AccessContext,
-        name: &str,
-        found: Option<String>,
-        filtered: usize,
-    ) -> Option<String> {
-        self.sink.cookie_read(ReadEvent {
-            actor: ctx.actor_name(),
-            api: CookieApi::CookieStore,
-            cookies: found
-                .iter()
-                .map(|v| (name.to_string(), v.clone()))
-                .collect(),
-            filtered_count: filtered.min(1),
-            time_ms: ctx.time_ms,
-        });
-        found
+        result
     }
 
     /// Non-mutating visibility check (CookieStore `change`-event
@@ -405,7 +349,7 @@ impl<'v> GuardedJar<'v> {
                 g.authorize_write(&ctx.caller, &sc.name)
             };
             if !d.is_allow() {
-                let event = self.emit_set(
+                self.emit_set(
                     ctx,
                     &sc.name,
                     &sc.value,
@@ -415,20 +359,12 @@ impl<'v> GuardedJar<'v> {
                     None,
                     true,
                 );
-                return Outcome {
-                    decision: Some(d),
-                    kind,
-                    applied: false,
-                    error: None,
-                    change: None,
-                    event: Some(event),
-                };
+                return Outcome::blocked_by(d, kind);
             }
             decision = Some(d);
         }
 
         // Storage.
-        let change_mark = self.jar.change_count();
         let (applied, error) = if is_delete {
             (
                 self.jar.delete_pinned(&self.pin, &sc.name, &self.url, now),
@@ -446,7 +382,7 @@ impl<'v> GuardedJar<'v> {
 
         // Event: deletions are logged even when nothing matched (the
         // script's intent is observable either way).
-        let event = (applied || is_delete).then(|| {
+        if applied || is_delete {
             self.emit_set(
                 ctx,
                 &sc.name,
@@ -456,16 +392,14 @@ impl<'v> GuardedJar<'v> {
                 max_age_s,
                 changes,
                 false,
-            )
-        });
+            );
+        }
 
         Outcome {
             decision,
             kind,
             applied,
             error,
-            change: self.jar.changes_since(change_mark).first().cloned(),
-            event,
         }
     }
 
@@ -492,7 +426,7 @@ impl<'v> GuardedJar<'v> {
         if let Some(g) = self.guard.as_deref_mut() {
             let d = g.authorize_write(&ctx.caller, name);
             if !d.is_allow() {
-                let event = self.emit_set(
+                self.emit_set(
                     ctx,
                     name,
                     value,
@@ -502,14 +436,7 @@ impl<'v> GuardedJar<'v> {
                     None,
                     true,
                 );
-                return Outcome {
-                    decision: Some(d),
-                    kind,
-                    applied: false,
-                    error: None,
-                    change: None,
-                    event: Some(event),
-                };
+                return Outcome::blocked_by(d, kind);
             }
             decision = Some(d);
         }
@@ -519,7 +446,6 @@ impl<'v> GuardedJar<'v> {
         if let Some(e) = expires_abs_ms {
             raw.push_str(&format!("; Expires=@{e}"));
         }
-        let change_mark = self.jar.change_count();
         let (applied, error) = match self
             .jar
             .set_document_cookie_pinned(&self.pin, &raw, &self.url, now)
@@ -527,7 +453,7 @@ impl<'v> GuardedJar<'v> {
             Ok(_) => (true, None),
             Err(e) => (false, Some(e)),
         };
-        let event = applied.then(|| {
+        if applied {
             self.emit_set(
                 ctx,
                 name,
@@ -537,15 +463,13 @@ impl<'v> GuardedJar<'v> {
                 max_age_s,
                 None,
                 false,
-            )
-        });
+            );
+        }
         Outcome {
             decision,
             kind,
             applied,
             error,
-            change: self.jar.changes_since(change_mark).first().cloned(),
-            event,
         }
     }
 
@@ -556,7 +480,7 @@ impl<'v> GuardedJar<'v> {
         if let Some(g) = self.guard.as_deref_mut() {
             let d = g.authorize_delete(&ctx.caller, name);
             if !d.is_allow() {
-                let event = self.emit_set(
+                self.emit_set(
                     ctx,
                     name,
                     "",
@@ -566,22 +490,14 @@ impl<'v> GuardedJar<'v> {
                     None,
                     true,
                 );
-                return Outcome {
-                    decision: Some(d),
-                    kind: WriteKind::Delete,
-                    applied: false,
-                    error: None,
-                    change: None,
-                    event: Some(event),
-                };
+                return Outcome::blocked_by(d, WriteKind::Delete);
             }
             decision = Some(d);
         }
-        let change_mark = self.jar.change_count();
         let applied = self
             .jar
             .delete_pinned(&self.pin, name, &self.url, ctx.now_ms);
-        let event = applied.then(|| {
+        if applied {
             self.emit_set(
                 ctx,
                 name,
@@ -591,15 +507,13 @@ impl<'v> GuardedJar<'v> {
                 None,
                 None,
                 false,
-            )
-        });
+            );
+        }
         Outcome {
             decision,
             kind: WriteKind::Delete,
             applied,
             error: None,
-            change: self.jar.changes_since(change_mark).first().cloned(),
-            event,
         }
     }
 
@@ -608,129 +522,44 @@ impl<'v> GuardedJar<'v> {
     /// responding server's eTLD+1 — it becomes the cookies' recorded
     /// creator and the event actor. HttpOnly cookies store and are
     /// attributed, but emit no event: the measurement extension cannot
-    /// see them (§4.1).
+    /// see them (§4.1). Unparseable and rejected headers are skipped.
     pub fn apply_set_cookie_headers(
         &mut self,
         response_domain: &str,
         raw_headers: &[String],
         now_ms: i64,
-    ) -> Vec<Outcome> {
-        raw_headers
-            .iter()
-            .map(|raw| {
-                let Some(sc) = parse_set_cookie(raw) else {
-                    return Outcome::unparseable();
-                };
-                let change_mark = self.jar.change_count();
-                let result = self
-                    .jar
-                    .set_from_header_pinned(&self.pin, &sc, &self.url, now_ms);
-                let applied = result.is_ok();
-                let mut event = None;
-                if applied {
-                    if let Some(g) = self.guard.as_deref_mut() {
-                        g.record_http_set_cookie(&sc.name, response_domain);
-                    }
-                    // The extension only sees non-HttpOnly values (§4.1).
-                    if !sc.http_only {
-                        let ev = SetEvent {
-                            name: sc.name.clone(),
-                            value: sc.value.clone(),
-                            actor: Some(response_domain.to_string()),
-                            actor_url: None,
-                            api: CookieApi::HttpHeader,
-                            kind: WriteKind::Create,
-                            max_age_s: match (sc.max_age_s, sc.expires_ms) {
-                                (Some(ma), _) => Some(ma),
-                                (None, Some(e)) => Some((e - now_ms) / 1000),
-                                (None, None) => None,
-                            },
-                            changes: None,
-                            blocked: false,
-                            time_ms: 0,
-                        };
-                        self.sink.cookie_set(ev.clone());
-                        event = Some(ev);
-                    }
-                }
-                Outcome {
-                    decision: None,
-                    kind: WriteKind::Create,
-                    applied,
-                    error: result.err(),
-                    change: self.jar.changes_since(change_mark).first().cloned(),
-                    event,
-                }
-            })
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Batch
-    // ------------------------------------------------------------------
-
-    /// Runs a burst of operations under one [`AccessContext`]: the
-    /// caller identity is derived once, the shard stays pinned, and
-    /// consecutive reads share one post-filter view (invalidated by any
-    /// write), kept as the owned pairs every read event carries anyway.
-    /// Events, guard stats, and jar state are identical to issuing the
-    /// ops one by one.
-    pub fn run_batch(&mut self, ctx: &AccessContext, ops: &[BatchOp<'_>]) -> Vec<BatchResult> {
-        let mut cache: Option<(Vec<(String, String)>, usize)> = None;
-        ops.iter()
-            .map(|op| match op {
-                BatchOp::Read { api } => {
-                    let (pairs, filtered) = self.visible_cached(ctx, &mut cache);
-                    let pairs = pairs.to_vec();
-                    self.log_read(ctx, *api, pairs.clone(), filtered);
-                    BatchResult::Read(pairs)
-                }
-                BatchOp::Get { name } => {
-                    let (pairs, filtered) = self.visible_cached(ctx, &mut cache);
-                    let found = pairs
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, v)| v.clone());
-                    BatchResult::Get(self.finish_get(ctx, name, found, filtered))
-                }
-                BatchOp::Set(req) => {
-                    cache = None;
-                    BatchResult::Mutation(self.set(ctx, *req))
-                }
-                BatchOp::Delete { name } => {
-                    cache = None;
-                    BatchResult::Mutation(self.delete(ctx, name))
-                }
-            })
-            .collect()
-    }
-
-    /// Batch-path view: serves repeats from the cache, replaying the
-    /// guard's per-read stats bump so counters match per-op access.
-    fn visible_cached<'c>(
-        &mut self,
-        ctx: &AccessContext,
-        cache: &'c mut Option<(Vec<(String, String)>, usize)>,
-    ) -> (&'c [(String, String)], usize) {
-        match cache {
-            Some((_, filtered)) => {
-                if let Some(g) = self.guard.as_deref_mut() {
-                    g.note_cached_read(*filtered);
-                }
+    ) {
+        for sc in raw_headers.iter().filter_map(|raw| parse_set_cookie(raw)) {
+            if self
+                .jar
+                .set_from_header_pinned(&self.pin, &sc, &self.url, now_ms)
+                .is_err()
+            {
+                continue;
             }
-            None => {
-                let (view, filtered) = visible(
-                    self.jar,
-                    &self.pin,
-                    &self.url,
-                    self.guard.as_deref_mut(),
-                    ctx,
-                );
-                *cache = Some((owned_pairs(&view), filtered));
+            if let Some(g) = self.guard.as_deref_mut() {
+                g.record_http_set_cookie(&sc.name, response_domain);
+            }
+            // The extension only sees non-HttpOnly values (§4.1).
+            if !sc.http_only {
+                self.sink.cookie_set(SetEvent {
+                    name: sc.name,
+                    value: sc.value,
+                    actor: Some(response_domain.to_string()),
+                    actor_url: None,
+                    api: CookieApi::HttpHeader,
+                    kind: WriteKind::Create,
+                    max_age_s: match (sc.max_age_s, sc.expires_ms) {
+                        (Some(ma), _) => Some(ma),
+                        (None, Some(e)) => Some((e - now_ms) / 1000),
+                        (None, None) => None,
+                    },
+                    changes: None,
+                    blocked: false,
+                    time_ms: 0,
+                });
             }
         }
-        let (pairs, filtered) = cache.as_ref().expect("cache just filled");
-        (pairs.as_slice(), *filtered)
     }
 
     // ------------------------------------------------------------------
@@ -766,7 +595,7 @@ impl<'v> GuardedJar<'v> {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Builds, emits, and returns one write event.
+    /// Builds and emits one write event.
     #[allow(clippy::too_many_arguments)]
     fn emit_set(
         &mut self,
@@ -778,8 +607,8 @@ impl<'v> GuardedJar<'v> {
         max_age_s: Option<i64>,
         changes: Option<AttrChangeFlags>,
         blocked: bool,
-    ) -> SetEvent {
-        let event = SetEvent {
+    ) {
+        self.sink.cookie_set(SetEvent {
             name: name.to_string(),
             value: value.to_string(),
             actor: ctx.actor_name(),
@@ -790,9 +619,7 @@ impl<'v> GuardedJar<'v> {
             changes,
             blocked,
             time_ms: ctx.time_ms,
-        };
-        self.sink.cookie_set(event.clone());
-        event
+        });
     }
 }
 
@@ -831,6 +658,7 @@ mod tests {
     use super::*;
     use crate::config::GuardConfig;
     use crate::engine::GuardEngine;
+    use cg_cookiejar::ChangeCause;
     use cg_instrument::Recorder;
 
     fn ctx_for(domain: Option<&str>, now_ms: i64, time_ms: u64) -> AccessContext {
@@ -850,19 +678,16 @@ mod tests {
         Url::parse("https://www.shop.example/").unwrap()
     }
 
-    /// `"a=1; b=2"` back into pairs (test names and values hold no `=`).
-    fn split_pairs(text: &str) -> Vec<(String, String)> {
-        text.split("; ")
-            .filter(|p| !p.is_empty())
-            .map(|p| {
-                let (n, v) = p.split_once('=').unwrap();
-                (n.to_string(), v.to_string())
-            })
-            .collect()
-    }
-
     fn session() -> GuardSession {
         GuardEngine::shared(GuardConfig::strict()).session("shop.example")
+    }
+
+    /// The causes on the jar's change log, with the cookie names.
+    fn causes(jar: &CookieJar) -> Vec<(&str, ChangeCause)> {
+        jar.changes()
+            .iter()
+            .map(|ch| (ch.name.as_str(), ch.cause))
+            .collect()
     }
 
     #[test]
@@ -877,11 +702,6 @@ mod tests {
         assert!(out.applied && !out.blocked());
         assert_eq!(out.kind, WriteKind::Create);
         assert!(out.decision.unwrap().is_allow());
-        assert_eq!(out.event.as_ref().unwrap().name, "_tid");
-        assert_eq!(
-            out.change.unwrap().cause,
-            cg_cookiejar::ChangeCause::Created
-        );
 
         // The creator reads its cookie back; a stranger sees nothing.
         assert_eq!(access.document_cookie(&t), "_tid=abc");
@@ -896,19 +716,29 @@ mod tests {
 
         let log = rec.finish();
         assert_eq!(log.sets.len(), 3); // create + blocked delete + delete
+        assert_eq!(log.sets[0].name, "_tid");
+        assert_eq!(log.sets[0].kind, WriteKind::Create);
         assert_eq!(log.reads.len(), 2);
         assert_eq!(log.reads[0].cookies, vec![("_tid".into(), "abc".into())]);
         assert_eq!(log.reads[1].api, CookieApi::CookieStore);
         assert_eq!(log.reads[1].filtered_count, 1);
         assert!(log.sets[1].blocked);
         assert_eq!(guard.stats().deletes_blocked, 1);
+        // The blocked delete left no record on the change log.
+        assert_eq!(
+            causes(&jar),
+            vec![
+                ("_tid", ChangeCause::Created),
+                ("_tid", ChangeCause::Deleted)
+            ]
+        );
     }
 
     #[test]
-    fn outcome_change_is_the_mutation_even_under_eviction() {
+    fn eviction_follows_the_created_record_in_the_change_log() {
         // Fill the domain to its 180-cookie cap; the next create also
-        // evicts the oldest cookie. The Outcome must report the Created
-        // record for the written cookie, not the knock-on Evicted one.
+        // evicts the oldest cookie. The change log records the written
+        // cookie's creation first, then the knock-on eviction.
         let mut jar = CookieJar::new();
         let mut rec = Recorder::new("shop.example", 1);
         let mut access = GuardedJar::new(url(), &mut jar, None, &mut rec);
@@ -921,15 +751,20 @@ mod tests {
                     .applied
             );
         }
+        let mark = access.change_count();
         let out = access.set(&c, SetRequest::DocumentCookie { raw: "straw=1" });
         assert!(out.applied);
-        let change = out.change.unwrap();
-        assert_eq!(change.name, "straw");
-        assert_eq!(change.cause, cg_cookiejar::ChangeCause::Created);
-        // The eviction is still on the jar's log, right after.
+        let after: Vec<_> = access
+            .changes_since(mark)
+            .iter()
+            .map(|ch| (ch.name.as_str(), ch.cause))
+            .collect();
         assert_eq!(
-            jar.changes().last().map(|ch| ch.cause),
-            Some(cg_cookiejar::ChangeCause::Evicted)
+            after,
+            vec![
+                ("straw", ChangeCause::Created),
+                ("c0", ChangeCause::Evicted)
+            ]
         );
     }
 
@@ -949,8 +784,38 @@ mod tests {
         let out = access.set(&b, SetRequest::DocumentCookie { raw: "x=2" });
         assert!(out.applied && out.decision.is_none());
         assert_eq!(out.kind, WriteKind::Overwrite);
-        assert!(out.change.is_some());
         assert_eq!(access.document_cookie(&b), "x=2");
+        assert_eq!(
+            causes(&jar),
+            vec![("x", ChangeCause::Created), ("x", ChangeCause::Replaced)]
+        );
+    }
+
+    #[test]
+    fn cookie_store_set_is_root_pathed_host_only_and_expiring() {
+        // A nested document: `document.cookie` would default to `/a`.
+        let page = Url::parse("https://www.shop.example/a/b").unwrap();
+        let mut jar = CookieJar::new();
+        let mut rec = Recorder::new("shop.example", 1);
+        let mut access = GuardedJar::new(page, &mut jar, None, &mut rec);
+        let c = ctx_for(Some("shop.example"), 0, 0);
+        let req = SetRequest::CookieStore {
+            name: "keep_alive",
+            value: "tab1:1",
+            expires_abs_ms: Some(60_000),
+        };
+        assert!(access.set(&c, req).applied);
+        assert_eq!(access.get(&c, "keep_alive").as_deref(), Some("tab1:1"));
+        assert_eq!(access.get(&c, "nope"), None);
+        {
+            let stored = jar.iter().next().unwrap();
+            assert_eq!(stored.path, "/");
+            assert!(stored.host_only);
+            assert_eq!(stored.expires_ms, Some(60_000));
+        }
+        let mut access = GuardedJar::new(url(), &mut jar, None, &mut rec);
+        assert!(access.delete(&c, "keep_alive").applied);
+        assert_eq!(access.get(&c, "keep_alive"), None);
     }
 
     #[test]
@@ -967,9 +832,11 @@ mod tests {
         );
         assert!(!out.applied);
         assert_eq!(out.error, Some(SetCookieError::DomainMismatch));
-        assert!(out.event.is_none() && out.change.is_none());
         let out = access.set(&c, SetRequest::DocumentCookie { raw: "" });
         assert_eq!(out.error, Some(SetCookieError::Unparseable));
+        // Neither write was logged or recorded.
+        assert!(rec.finish().sets.is_empty());
+        assert_eq!(jar.change_count(), 0);
     }
 
     #[test]
@@ -978,7 +845,7 @@ mod tests {
         let mut guard = session();
         let mut rec = Recorder::new("shop.example", 1);
         let mut access = GuardedJar::new(url(), &mut jar, Some(&mut guard), &mut rec);
-        let outcomes = access.apply_set_cookie_headers(
+        access.apply_set_cookie_headers(
             "shop.example",
             &[
                 "sid=s3cr3t; Path=/; HttpOnly".to_string(),
@@ -987,96 +854,15 @@ mod tests {
             ],
             0,
         );
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].applied && outcomes[0].event.is_none());
-        assert!(outcomes[1].applied && outcomes[1].event.is_some());
-        assert_eq!(outcomes[2].error, Some(SetCookieError::Unparseable));
+        // Both parseable headers store; the empty one is skipped.
         assert_eq!(jar.len(), 2);
         assert_eq!(guard.metadata().creator("sid"), Some("shop.example"));
+        assert_eq!(guard.metadata().creator("prefs"), Some("shop.example"));
+        // Only the non-HttpOnly cookie is visible to the extension.
         let log = rec.finish();
         assert_eq!(log.sets.len(), 1);
+        assert_eq!(log.sets[0].name, "prefs");
         assert_eq!(log.sets[0].api, CookieApi::HttpHeader);
-    }
-
-    #[test]
-    fn batch_matches_per_op_exactly() {
-        let seed = |jar: &mut CookieJar, guard: &mut GuardSession, rec: &mut Recorder| {
-            let mut access = GuardedJar::new(url(), jar, Some(guard), rec);
-            let owner = ctx_for(Some("shop.example"), 0, 0);
-            for i in 0..12 {
-                access.set(
-                    &owner,
-                    SetRequest::DocumentCookie {
-                        raw: &format!("c{i}={i}"),
-                    },
-                );
-            }
-        };
-        let ops: Vec<BatchOp> = vec![
-            BatchOp::Read {
-                api: CookieApi::DocumentCookie,
-            },
-            BatchOp::Get { name: "c3" },
-            BatchOp::Set(SetRequest::CookieStore {
-                name: "mine",
-                value: "1",
-                expires_abs_ms: None,
-            }),
-            BatchOp::Read {
-                api: CookieApi::CookieStore,
-            },
-            BatchOp::Delete { name: "mine" },
-            BatchOp::Get { name: "mine" },
-        ];
-        let c = ctx_for(Some("vendor.net"), 5_000, 50);
-
-        // Batched run.
-        let (mut jar_a, mut guard_a) = (CookieJar::new(), session());
-        let mut rec_a = Recorder::new("shop.example", 1);
-        seed(&mut jar_a, &mut guard_a, &mut rec_a);
-        let mut access = GuardedJar::new(url(), &mut jar_a, Some(&mut guard_a), &mut rec_a);
-        let batched = access.run_batch(&c, &ops);
-
-        // Per-op run.
-        let (mut jar_b, mut guard_b) = (CookieJar::new(), session());
-        let mut rec_b = Recorder::new("shop.example", 1);
-        seed(&mut jar_b, &mut guard_b, &mut rec_b);
-        let mut access = GuardedJar::new(url(), &mut jar_b, Some(&mut guard_b), &mut rec_b);
-        let mut single = Vec::new();
-        for op in &ops {
-            single.push(match op {
-                BatchOp::Read { api } => BatchResult::Read(match api {
-                    CookieApi::DocumentCookie => {
-                        let text = access.document_cookie(&c);
-                        split_pairs(&text)
-                    }
-                    _ => access.get_all(&c),
-                }),
-                BatchOp::Get { name } => BatchResult::Get(access.get(&c, name)),
-                BatchOp::Set(req) => BatchResult::Mutation(access.set(&c, *req)),
-                BatchOp::Delete { name } => BatchResult::Mutation(access.delete(&c, name)),
-            });
-        }
-
-        // Identical logs, stats, and jar state.
-        let (log_a, log_b) = (rec_a.finish(), rec_b.finish());
-        assert_eq!(log_a.sets, log_b.sets);
-        assert_eq!(log_a.reads, log_b.reads);
-        assert_eq!(guard_a.stats(), guard_b.stats());
-        assert_eq!(jar_a.len(), jar_b.len());
-        assert_eq!(batched.len(), single.len());
-        for (a, b) in batched.iter().zip(&single) {
-            match (a, b) {
-                (BatchResult::Read(x), BatchResult::Read(y)) => assert_eq!(x, y),
-                (BatchResult::Get(x), BatchResult::Get(y)) => assert_eq!(x, y),
-                (BatchResult::Mutation(x), BatchResult::Mutation(y)) => {
-                    assert_eq!(x.applied, y.applied);
-                    assert_eq!(x.kind, y.kind);
-                    assert_eq!(x.blocked(), y.blocked());
-                }
-                _ => panic!("result shapes diverged"),
-            }
-        }
     }
 
     #[test]
@@ -1103,6 +889,8 @@ mod tests {
             },
         );
         assert!(!out.applied, "nothing left to remove");
-        assert!(out.event.is_some(), "…but the event is still emitted");
+        let log = rec.finish();
+        assert_eq!(log.sets.len(), 3, "…but the event is still emitted");
+        assert_eq!(log.sets[2].kind, WriteKind::Delete);
     }
 }

@@ -198,19 +198,6 @@ impl GuardSession {
         cookies
     }
 
-    /// Accounts for a read served from a still-valid cached post-filter
-    /// view (the access layer's batch path): bumps the same counters
-    /// [`GuardSession::filter_read`] would have, so per-op and batch
-    /// access produce identical [`GuardStats`].
-    pub fn note_cached_read(&mut self, filtered_count: usize) {
-        if filtered_count > 0 {
-            self.stats.reads_filtered += 1;
-            self.stats.cookies_filtered += filtered_count as u64;
-        } else {
-            self.stats.reads_clean += 1;
-        }
-    }
-
     /// Name-only variant of [`GuardSession::filter_read`] for callers
     /// that work with cookie names (tests, policy probing). Borrows the
     /// input names and returns the visible subset as borrowed slices —

@@ -88,7 +88,7 @@ pub mod guard;
 pub mod metadata;
 pub mod policy;
 
-pub use access::{AccessContext, BatchOp, BatchResult, GuardedJar, Outcome, SetRequest};
+pub use access::{AccessContext, GuardedJar, Outcome, SetRequest};
 pub use config::{GuardConfig, InlinePolicy};
 pub use deployment::{DeploymentStage, PrivacyPreset};
 pub use engine::{CompiledPolicy, GuardEngine};
